@@ -1862,55 +1862,9 @@ impl SeerEngine {
         (selection, charged_overhead + observed)
     }
 
-    /// Fault-aware [`SeerEngine::execute_with_policy_into`]: identical
-    /// selection, billing and result on a healthy fleet, but executions
-    /// routed to a device that has failed or retired — including a device
-    /// killed *while the kernel was in flight* — return a typed
-    /// [`DeviceFailed`] instead of silently computing on dead hardware. The
-    /// caller (the serving pool's retry path, chiefly) decides whether to
-    /// re-submit elsewhere. On an error the workspace contents are
-    /// unspecified and no timing observation is recorded — a dead device
-    /// teaches the recalibration layer nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceFailed`] when the selected device is not live at
-    /// dispatch, or stopped being live before the execution completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn try_execute_with_policy_into(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        policy: SelectionPolicy,
-        workspace: &mut EngineWorkspace,
-    ) -> Result<(Selection, SimTime), DeviceFailed> {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        self.fleet.ensure_live(selection.device)?;
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_prepared_into(
-            &plan,
-            matrix,
-            x,
-            &mut workspace.y,
-            &mut workspace.scratch,
-        );
-        // A death injected while the kernel was running is a mid-execution
-        // loss: the computed result is discarded, the error surfaces, and
-        // nothing is observed.
-        self.fleet.ensure_live(selection.device)?;
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        Ok((selection, charged_overhead + observed))
-    }
-
     /// Resolves the selection and pins the prepared plan for `matrix` in one
     /// step, without executing anything — the front half of
-    /// [`SeerEngine::try_execute_with_policy_into`], split out so a serving
+    /// [`SeerEngine::execute_with_policy_into`], split out so a serving
     /// worker can amortize it across a run of same-fingerprint requests
     /// (see [`crate::serving::RoutingConfig`]). The returned activation
     /// holds the pinned `Arc<PreparedPlan>`; executing it via
@@ -1942,13 +1896,22 @@ impl SeerEngine {
     }
 
     /// Executes one request against an existing [`PlanActivation`]: the
-    /// plan replay, liveness fencing and timing observation of
-    /// [`SeerEngine::try_execute_with_policy_into`], minus the selection
-    /// resolve and plan-cache walk the activation already paid. `first`
-    /// decides whether this execution is billed the activation's charged
-    /// selection overhead (exactly once per activation, on the first
-    /// executed request) or replays as a pure plan hit (zero overhead) —
-    /// the same billing a sequential stream of identical requests sees.
+    /// plan replay and timing observation of
+    /// [`SeerEngine::execute_with_policy_into`], minus the selection
+    /// resolve and plan-cache walk the activation already paid, and fenced
+    /// on device liveness. `first` decides whether this execution is billed
+    /// the activation's charged selection overhead (exactly once per
+    /// activation, on the first executed request) or replays as a pure plan
+    /// hit (zero overhead) — the same billing a sequential stream of
+    /// identical requests sees.
+    ///
+    /// An execution routed to a device that has failed or retired —
+    /// including one killed *while the kernel was in flight* — returns a
+    /// typed [`DeviceFailed`] instead of silently computing on dead
+    /// hardware; the caller (the serving pool's retry path) decides whether
+    /// to re-activate elsewhere. On an error the workspace contents are
+    /// unspecified and no timing observation is recorded — a dead device
+    /// teaches the recalibration layer nothing.
     ///
     /// # Errors
     ///

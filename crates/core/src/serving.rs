@@ -49,9 +49,8 @@
 //! Because placement is deterministic, every `(fingerprint, device, kernel)`
 //! triple has exactly one home shard, so each prepared execution plan is
 //! still built exactly once pool-wide. [`PoolStats::devices`] reports
-//! per-device queue depth and served counts. A single-device pool skips the
-//! router entirely and routes by bare fingerprint — bit-identical to the
-//! pre-fleet pool.
+//! per-device queue depth and served counts. A single-device pool has no
+//! router and routes by bare fingerprint.
 //!
 //! # Elastic membership
 //!
@@ -67,80 +66,82 @@
 //! counted in [`ShardStats::device_failures`], [`ShardStats::retried`] and
 //! [`ShardStats::migrated`] — so its [`Ticket`] resolves to a correct
 //! response instead of an error; [`ServingError::WorkerDied`] stays
-//! reserved for genuine worker panics. A pool whose membership never
-//! changes behaves bit-identically to one without these hooks.
+//! reserved for genuine worker panics.
 //!
 //! # Admission control & overload
 //!
-//! A pool built with [`PoolConfig::with_admission`] grows a guarded front
-//! door for traffic that exceeds capacity. Each shard's queue becomes
-//! **bounded** ([`AdmissionConfig::queue_capacity`]) with three **priority
+//! Every pool has one front door. Each shard's queue has three **priority
 //! lanes** ([`Priority::Interactive`] / [`Priority::Batch`] /
-//! [`Priority::BestEffort`]) dequeued strictly in that order, and the pool
-//! enforces an optional pool-wide in-flight cap
-//! ([`AdmissionConfig::max_in_flight`]). [`ServingPool::try_submit`] never
-//! blocks: it returns [`SubmitOutcome::Accepted`] with a ticket or
-//! [`SubmitOutcome::Shed`] with a typed [`ShedReason`].
-//! [`ServingPool::submit`] keeps its classic blocking contract by waiting
-//! for capacity (backpressure; counted in
+//! [`Priority::BestEffort`]) dequeued strictly in that order, and a request
+//! may carry a [`ServingRequest::deadline`]: one still queued when it passes
+//! is shed at dequeue — never executed — and resolves its ticket to
+//! [`ServingError::DeadlineExceeded`]. [`PoolConfig::with_admission`] bounds
+//! the door: per-shard queues of [`AdmissionConfig::queue_capacity`] and an
+//! optional pool-wide in-flight cap ([`AdmissionConfig::max_in_flight`]). A
+//! pool built without it runs `AdmissionConfig::bounded(0)` — unbounded
+//! queues, no cap — through the same code, so it sheds only while shutting
+//! down.
+//!
+//! [`ServingPool::try_submit`] never blocks: it returns
+//! [`SubmitOutcome::Accepted`] with a ticket or [`SubmitOutcome::Shed`] with
+//! a typed [`ShedReason`]. [`ServingPool::submit`] waits for capacity
+//! instead (backpressure, counted in
 //! [`AdmissionPoolStats::backpressure_waits`]), and
-//! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue
-//! sheds by [`ShedPolicy`]: reject the newcomer, or evict the newest
-//! strictly-lower-priority queued request to make room. Requests may carry
-//! a [`ServingRequest::deadline`]; one still queued when it passes is shed
-//! at dequeue — never executed — and resolves its ticket to
-//! [`ServingError::DeadlineExceeded`]. Queue-wait and end-to-end latency
-//! distributions are recorded per priority class in fixed log-scale
-//! histograms ([`PoolStats::latency`], `p50/p99/p999`), and the shed /
-//! expired / backpressure counters ([`PoolStats::admission`]) balance
-//! exactly: every admitted request resolves as served, shed, expired or
-//! failed. A pool built *without* admission control behaves exactly like
-//! the unbounded pool of the previous revision — every admission counter
-//! stays zero and `submit` never sheds (a submit racing
+//! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue sheds
+//! by [`ShedPolicy`]: reject the newcomer, or evict the newest
+//! strictly-lower-priority queued request to make room. A submit racing
 //! [`ServingPool::begin_shutdown`] or a retire resolves its ticket to the
-//! typed [`ServingError::PoolClosed`] rather than panicking).
+//! typed [`ServingError::PoolClosed`] rather than panicking. Queue-wait and
+//! end-to-end latency distributions are recorded per priority class in
+//! fixed log-scale histograms ([`PoolStats::latency`], `p50/p99/p999`).
 //!
 //! # Routing offload & same-fingerprint micro-batching
 //!
-//! A pool built with [`PoolConfig::with_routing`] moves the routing work off
-//! the submitter thread and amortizes plan activation across bursts:
+//! One route-and-push places every request: it fingerprints the matrix,
+//! resolves device affinity through the shared router engine, pushes the
+//! job onto its home shard's queue, re-routes when a retire closed that
+//! queue, evicts under [`ShedPolicy::DropLowestPriority`], and waits or
+//! sheds on a full queue. Without [`PoolConfig::with_routing`] it runs on
+//! the submitter's thread. With it:
 //!
-//! * **Routing offload** — `submit`/`try_submit` enqueue into a small
-//!   bounded *routing stage* serviced by one dedicated routing worker. The
-//!   worker computes the request's sparsity fingerprint, resolves device
-//!   affinity through the shared router engine and forwards the job to its
-//!   home shard, so the submit path is O(1) even for a cold matrix: no
-//!   profile pass, cost sweep or cache walk runs on the submitting thread.
-//!   Admission travels with the request — the in-flight cap is still
-//!   reserved at submit, priority lanes and deadlines apply unchanged at
-//!   the shard, and a full stage sheds with
+//! * **Routing offload** — `submit`/`try_submit` push the admitted job onto
+//!   a small bounded *routing stage* in O(1), and one dedicated routing
+//!   worker runs the route-and-push, so no profile pass, cost sweep or
+//!   cache walk runs on the submitting thread, even for a cold matrix. The
+//!   in-flight cap is reserved at submit. A full stage sheds with
 //!   [`ShedReason::RoutingStageFull`] (non-blocking) or backpressures the
-//!   submitter (blocking). Per-submit latency is recorded in
-//!   [`RoutingPoolStats::submit`].
-//! * **Micro-batching** — at dequeue, a shard worker coalesces a bounded
-//!   run (at most [`RoutingConfig::max_batch`]) of *adjacent* queued
-//!   requests from the same priority lane that share a sparsity
-//!   fingerprint, workload kind, iteration count, policy and matrix
-//!   content into one *plan activation*: one selection resolve, one
-//!   `Arc<PreparedPlan>` pin and one workspace, reused across the whole
-//!   run ([`SeerEngine::activate_plan`]). A burst of K identical operators
-//!   costs one cache walk instead of K; selection overhead is billed to
-//!   the run's first executed request exactly as a sequential replay would
-//!   bill its first cache miss, so responses stay **bit-identical** to
-//!   sequential serving. Expired batchmates are still shed at dequeue
-//!   (never executed) and an eviction can remove a queued batchmate
-//!   without disturbing the rest — batches only form at dequeue, so
-//!   nothing queued is ever committed to one.
+//!   submitter (blocking); the routing worker itself waits out a full shard
+//!   queue. Per-submit latency is recorded in [`RoutingPoolStats::submit`].
+//! * **Micro-batching** — a shard worker dequeues a run of up to
+//!   [`RoutingConfig::max_batch`] *adjacent* queued requests from the same
+//!   priority lane that share a sparsity fingerprint, workload kind,
+//!   iteration count, policy and matrix content. Without routing every run
+//!   is one request.
 //!
-//! The counters ([`PoolStats::routing`]) prove both layers:
-//! `routed_async` counts stage-forwarded requests, `batched_requests` /
-//! `batch_activations` give the mean batch size, and the front-door balance
-//! (`served + shed + expired + failed == offered`) stays exact — in-stage
-//! requests caught by a shutdown resolve typed
-//! ([`ServingError::PoolClosed`], counted in
-//! [`RoutingPoolStats::stage_closed`]). A pool built *without*
-//! [`RoutingConfig`] is bit-identical to the previous revision and keeps
-//! every routing counter zero.
+//! # Serving a run
+//!
+//! Every dequeue is a run of one or more requests, served by one path. Each
+//! member's queue wait is recorded and its deadline checked. The run's plan
+//! is activated on its first live member — one selection for select-only
+//! work, one [`SeerEngine::activate_plan`] (selection resolve plus
+//! `Arc<PreparedPlan>` pin) for execute work — and every member runs
+//! against it, so a burst of K identical operators costs one cache walk
+//! instead of K. The activation's selection overhead is billed to the run's
+//! first executed member, exactly as a sequential replay bills its first
+//! cache miss, so responses stay **bit-identical** to sequential serving. A
+//! panic fails only its own member. A dead placement device drops the
+//! activation, and the member is retried once on a fresh one, which the
+//! rest of the run then shares. Runs form only at dequeue, so an eviction
+//! or expiry of a queued would-be batchmate needs no special casing.
+//!
+//! The counters ([`PoolStats::routing`]) show both layers: `routed_async`
+//! counts stage-forwarded requests, `batched_requests` /
+//! `batch_activations` give the mean run size, and in-stage requests caught
+//! by a shutdown resolve typed ([`ServingError::PoolClosed`], counted in
+//! [`RoutingPoolStats::stage_closed`]). Every admitted request resolves
+//! exactly once, so the books balance: once drained, `served + shed +
+//! expired + failed + (device_failures - retried) == offered` (see
+//! [`ShardStats::served`]).
 //!
 //! # Example
 //!
@@ -172,11 +173,11 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use seer_gpu::{DeviceId, Fleet, Gpu, GpuSpec, MembershipError, SimTime, SpecError};
+use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, GpuSpec, MembershipError, SimTime, SpecError};
 use seer_sparse::{CsrMatrix, Scalar};
 
 use crate::engine::{
@@ -208,14 +209,13 @@ pub struct PoolConfig {
     pub recalibration: Option<RecalibrationConfig>,
     /// Admission control at the pool's front door: bounded per-shard queues,
     /// an optional pool-wide in-flight cap and a full-queue [`ShedPolicy`].
-    /// `None` (the default) keeps the classic unbounded pool — submits
-    /// never shed and every admission counter stays zero.
+    /// `None` (the default) runs `AdmissionConfig::bounded(0)`: unbounded
+    /// queues and no cap, so submits shed only while the pool shuts down.
     pub admission: Option<AdmissionConfig>,
     /// Routing offload and same-fingerprint micro-batching (see the
     /// [module docs](self#routing-offload--same-fingerprint-micro-batching)).
-    /// `None` (the default) keeps routing on the submitter thread and
-    /// serves strictly one request per dequeue — bit-identical to the
-    /// pre-routing pool, with every [`RoutingPoolStats`] counter zero.
+    /// `None` (the default) routes on the submitter's thread and serves
+    /// runs of one request, with every [`RoutingPoolStats`] counter zero.
     pub routing: Option<RoutingConfig>,
 }
 
@@ -329,8 +329,8 @@ pub enum ShedPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum queued (admitted, not yet dequeued) requests per shard,
-    /// summed over the three priority lanes. `0` means unbounded — the
-    /// classic queue, with priority lanes and deadlines still honoured.
+    /// summed over the three priority lanes. `0` means unbounded; priority
+    /// lanes and deadlines still apply.
     pub queue_capacity: usize,
     /// Pool-wide cap on in-flight requests (admitted and not yet resolved).
     /// `0` means uncapped.
@@ -630,9 +630,12 @@ pub enum ServingError {
     /// The request's placement device died mid-execution, and the bounded
     /// retry on a surviving device also hit a dead device (or no live device
     /// remained). The request was *not* silently dropped — both attempts are
-    /// counted in [`ShardStats::device_failures`] — but the pool will not
-    /// retry unboundedly. Distinct from [`ServingError::WorkerDied`], which
-    /// is reserved for genuine worker panics.
+    /// counted in [`ShardStats::device_failures`] and the retry in
+    /// [`ShardStats::retried`] — but the pool will not retry unboundedly.
+    /// It counts in none of `served`, `failed`, `expired` or `shed`: it is
+    /// the `device_failures - retried` term of the balance identity on
+    /// [`ShardStats::served`]. Distinct from [`ServingError::WorkerDied`],
+    /// which is reserved for genuine worker panics.
     DeviceFailed {
         /// The device whose failure exhausted the retry budget.
         device: DeviceId,
@@ -793,21 +796,14 @@ impl Ticket {
         if let Some(outcome) = self.received {
             return outcome;
         }
-        let mut slot = self
+        let slot = self
             .cell
             .outcome
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self
-                .cell
-                .resolved
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        wait_for(&self.cell.resolved, slot, None, Option::take)
+            .1
+            .expect("a wait without a deadline returns only once resolved")
     }
 
     /// Returns the response if the request has already resolved, without
@@ -856,24 +852,13 @@ impl Ticket {
         timeout: Duration,
     ) -> Result<Option<&ServingResponse>, ServingError> {
         if self.received.is_none() {
-            let deadline = Instant::now() + timeout;
-            let mut slot = self
+            let slot = self
                 .cell
                 .outcome
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                (slot, _) = self
-                    .cell
-                    .resolved
-                    .wait_timeout(slot, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            self.received = slot.take();
+            let deadline = Some(Instant::now() + timeout);
+            self.received = wait_for(&self.cell.resolved, slot, deadline, Option::take).1;
         }
         match &self.received {
             Some(Ok(response)) => Ok(Some(response)),
@@ -1017,9 +1002,13 @@ impl LatencyRecorder {
 }
 
 /// Snapshot of a pool's latency distributions, per priority class, in
-/// [`PoolStats::latency`]. Queue wait is admission → dequeue for every
-/// dequeued request (served, expired or failed); end-to-end is admission →
-/// resolution for served requests only.
+/// [`PoolStats::latency`]. Queue wait runs from the push onto the shard
+/// queue to the dequeue, for every dequeued request (served, expired or
+/// failed). End-to-end runs from admission to resolution, for served
+/// requests only; admission is the moment the pool accepts the ticket —
+/// the routing-stage push on a routed pool, the shard push otherwise — so
+/// time a routed request spends in the stage counts toward end-to-end but
+/// not toward queue wait.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencySnapshot {
     queue_wait: [HistogramSnapshot; 3],
@@ -1027,7 +1016,8 @@ pub struct LatencySnapshot {
 }
 
 impl LatencySnapshot {
-    /// The queue-wait distribution of one priority class.
+    /// The queue-wait (shard push → dequeue) distribution of one priority
+    /// class.
     pub fn queue_wait(&self, class: Priority) -> &HistogramSnapshot {
         &self.queue_wait[class.lane()]
     }
@@ -1049,13 +1039,16 @@ pub struct ShardStats {
     pub device: DeviceId,
     /// Requests accepted (routed and enqueued) by this shard.
     pub submitted: u64,
-    /// Requests fully resolved by this shard — served, failed, expired or
-    /// evicted. Every resolution counts as completed so drain/shutdown
-    /// never hang on any of them.
+    /// Requests fully resolved by this shard — served, failed, expired,
+    /// evicted or device-failed. Every resolution counts as completed so
+    /// drain/shutdown never hang on any of them.
     pub completed: u64,
-    /// Requests served successfully (a response, not an error). Together
-    /// with `failed`, `expired` and `shed` these partition `completed`
-    /// exactly.
+    /// Requests served successfully (a response, not an error). With one
+    /// bounded retry per request, `served + failed + expired + shed +
+    /// (device_failures - retried) == completed` exactly: a request whose
+    /// retry is exhausted resolves to [`ServingError::DeviceFailed`], lands
+    /// in none of the first four, and counts twice in `device_failures` and
+    /// once in `retried`.
     pub served: u64,
     /// Requests dropped by a worker panic mid-serve; each one resolved its
     /// ticket to [`ServingError::WorkerDied`]. Always `<= completed`.
@@ -1093,8 +1086,9 @@ impl ShardStats {
 }
 
 /// Per-device rollup of a fleet pool's counters: the shards pinned to one
-/// device, summed. Built by [`PoolStats::devices`]. `Default` is the empty
-/// lane of the default device: all counters zero.
+/// device, summed, so the balance identity on [`ShardStats::served`] holds
+/// for each lane too. Built by [`PoolStats::devices`]. `Default` is the
+/// empty lane of the default device: all counters zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DevicePoolStats {
     /// The device this lane serves.
@@ -1103,12 +1097,13 @@ pub struct DevicePoolStats {
     pub shards: usize,
     /// Requests routed to the device's shard group.
     pub submitted: u64,
-    /// Requests resolved (served, failed, expired or evicted) by the
-    /// device's shard group.
+    /// Requests resolved (served, failed, expired, evicted or
+    /// device-failed) by the device's shard group.
     pub completed: u64,
     /// Requests served successfully across the device's shards.
     pub served: u64,
     /// Requests dropped by worker panics across the device's shards.
+    /// Requests whose bounded device retry was exhausted are not included.
     pub failed: u64,
     /// Deadline-expired requests shed at dequeue across the device's
     /// shards.
@@ -1315,7 +1310,10 @@ impl PoolStats {
             .fold(0, |n, s| n.saturating_add(s.served))
     }
 
-    /// Total requests dropped by worker panics across all shards.
+    /// Total requests dropped by worker panics across all shards. A
+    /// request whose bounded device retry is exhausted is not counted here:
+    /// it is the `device_failures() - retried()` term of the balance
+    /// identity on [`ShardStats::served`].
     pub fn failed(&self) -> u64 {
         self.shards
             .iter()
@@ -1448,30 +1446,61 @@ impl PoolStats {
 struct Job {
     request: ServingRequest,
     responder: Responder,
-    /// When the job was admitted — the zero point of its queue-wait and
-    /// end-to-end latency samples.
-    admitted: Instant,
+    /// When the routing stage accepted the ticket, on a routed pool; `None`
+    /// on an inline pool, where the shard push is the acceptance.
+    staged: Option<Instant>,
+    /// When the job entered its shard queue: the zero point of its
+    /// queue-wait sample, and of its end-to-end sample if it was never
+    /// staged.
+    queued: Instant,
     /// The matrix's sparsity fingerprint — the routing key — computed once
-    /// per request (on the submitter for inline routing, on the routing
-    /// worker for offloaded routing) and carried through every
-    /// admission → routing → shard hop and the dequeue-time batching
-    /// probe. `0` only while the job sits in the routing stage, before the
-    /// routing worker stamps it.
+    /// per request by whichever thread routes it, and carried to the shard
+    /// push and the dequeue-time batching probe. `0` while the job sits in
+    /// the routing stage.
     fingerprint: u64,
 }
 
+/// Parks on `condvar` until `poll` yields a value or `deadline` (if any)
+/// passes; `None` means the wait timed out. `poll` runs under the lock
+/// before every sleep, so a notify between the check and the sleep is never
+/// lost and a spurious wake just polls again.
+fn wait_for<'a, T, R>(
+    condvar: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+    mut poll: impl FnMut(&mut T) -> Option<R>,
+) -> (MutexGuard<'a, T>, Option<R>) {
+    loop {
+        if let Some(ready) = poll(&mut guard) {
+            return (guard, Some(ready));
+        }
+        guard = match deadline {
+            None => condvar.wait(guard).unwrap_or_else(PoisonError::into_inner),
+            Some(deadline) => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return (guard, None);
+                }
+                condvar
+                    .wait_timeout(guard, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+    }
+}
+
 /// One shard's queue: three priority lanes behind one mutex, a bound
-/// enforced by the submit side, and two condvars — `available` wakes the
-/// worker on push/close, `space` wakes backpressured submitters on
-/// pop/evict/close. Replaces the old unbounded `mpsc` channel; an
-/// admission-free pool simply never hits the bound, so its behaviour is
-/// unchanged.
+/// enforced by the push side, and two condvars — `available` wakes the
+/// worker on push/close, `space` wakes backpressured pushers on pop/close.
+#[derive(Default)]
 struct ShardQueue {
     state: Mutex<QueueState>,
     available: Condvar,
     space: Condvar,
 }
 
+#[derive(Default)]
 struct QueueState {
     /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`]; the
     /// worker always drains the lowest-index non-empty lane first.
@@ -1479,7 +1508,7 @@ struct QueueState {
     /// Closed by shutdown or this shard's device retirement: pushes are
     /// refused and the worker exits once the lanes are empty.
     closed: bool,
-    /// Submitters currently parked on `space`; workers skip the notify
+    /// Pushers currently parked on `space`; the worker skips the notify
     /// syscall when nobody waits.
     space_waiters: usize,
 }
@@ -1491,64 +1520,56 @@ impl QueueState {
 }
 
 impl ShardQueue {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(QueueState {
-                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                closed: false,
-                space_waiters: 0,
-            }),
-            available: Condvar::new(),
-            space: Condvar::new(),
-        })
-    }
-
     /// Marks the queue closed and wakes the worker (to drain and exit) and
-    /// every backpressured submitter (to re-route or shed). Idempotent.
+    /// every backpressured pusher (to re-route or shed). Idempotent.
     fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.closed = true;
-        drop(state);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.available.notify_all();
         self.space.notify_all();
     }
 
     /// Worker-side blocking pop: fills `run` with the highest-priority
-    /// queued job plus — when `max_batch > 1` — up to `max_batch - 1`
-    /// *immediately following* jobs from the same lane that are
-    /// batch-compatible with it ([`batchable`]: same sparsity fingerprint,
-    /// workload kind, iterations, policy and matrix content). Returns
-    /// `false` once the queue is closed *and* empty (close-then-drain
-    /// semantics). With `max_batch <= 1` this is exactly the classic
-    /// single-job pop.
+    /// queued job plus up to `max_batch - 1` *immediately following* jobs
+    /// from the same lane that are batch-compatible with it ([`batchable`]).
+    /// Returns `false` once the queue is closed *and* empty (close-then-drain
+    /// semantics).
     ///
-    /// Batches form only here, at dequeue: nothing queued is ever committed
-    /// to a run, so an eviction or a deadline expiry of a queued
+    /// Runs form only here, at dequeue: nothing queued is ever committed to
+    /// a run, so an eviction or a deadline expiry of a queued
     /// would-be-batchmate needs no special casing.
     fn pop_run(&self, run: &mut Vec<Job>, max_batch: usize) -> bool {
         run.clear();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(lane) = state.lanes.iter_mut().find(|lane| !lane.is_empty()) {
-                run.push(lane.pop_front().expect("lane is non-empty"));
-                while run.len() < max_batch
-                    && lane.front().is_some_and(|next| batchable(&run[0], next))
-                {
-                    run.push(lane.pop_front().expect("lane is non-empty"));
-                }
-                if state.space_waiters > 0 {
-                    self.space.notify_all();
-                }
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut state, _) = wait_for(&self.available, state, None, |state| {
+            (state.closed || state.len() > 0).then_some(())
+        });
+        let Some(lane) = state.lanes.iter_mut().find(|lane| !lane.is_empty()) else {
+            return false;
+        };
+        run.push(lane.pop_front().expect("lane is non-empty"));
+        while run.len() < max_batch && lane.front().is_some_and(|next| batchable(&run[0], next)) {
+            run.push(lane.pop_front().expect("lane is non-empty"));
         }
+        if state.space_waiters > 0 {
+            self.space.notify_all();
+        }
+        true
+    }
+
+    /// Parks a backpressured pusher until the queue has room below
+    /// `capacity`, closes, or `deadline` passes. Returns `false` only on
+    /// timeout; room and a close both mean "route and push again".
+    fn wait_for_space(&self, capacity: usize, deadline: Option<Instant>) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.space_waiters += 1;
+        let (mut state, ready) = wait_for(&self.space, state, deadline, |state| {
+            (state.closed || state.len() < capacity).then_some(())
+        });
+        state.space_waiters -= 1;
+        ready.is_some()
     }
 }
 
@@ -1576,11 +1597,10 @@ fn batchable(head: &Job, next: &Job) -> bool {
 }
 
 /// The bounded submit-side stage of a routing-offloaded pool: submitters
-/// push admitted jobs here in O(1), and the dedicated routing worker pops
-/// them, stamps their fingerprint, resolves placement and forwards them to
-/// their home shards. Same condvar discipline as [`ShardQueue`]:
-/// `available` wakes the routing worker, `space` wakes backpressured
-/// submitters.
+/// push admitted jobs here in O(1), and the routing worker pops them and
+/// routes and pushes each one to its home shard. Same condvar discipline as
+/// [`ShardQueue`].
+#[derive(Default)]
 struct RoutingStage {
     state: Mutex<StageState>,
     available: Condvar,
@@ -1593,128 +1613,78 @@ struct RoutingStage {
     in_stage: AtomicU64,
 }
 
+#[derive(Default)]
 struct StageState {
     jobs: VecDeque<Job>,
     closed: bool,
     space_waiters: usize,
 }
 
-/// What one push attempt against the routing stage produced; `Full` and
-/// `Closed` hand the job back like [`PushAttempt`] does.
-enum StagePush {
-    Queued,
-    Full(Job),
-    Closed(Job),
-}
-
 impl RoutingStage {
-    fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(StageState {
-                jobs: VecDeque::new(),
-                closed: false,
-                space_waiters: 0,
-            }),
-            available: Condvar::new(),
-            space: Condvar::new(),
-            capacity,
-            in_stage: AtomicU64::new(0),
-        })
-    }
-
-    /// Submitter-side non-blocking push: O(1), no routing work.
-    fn push(&self, job: Job) -> StagePush {
+    /// Submitter-side push: O(1), no routing work. Accepting the job stamps
+    /// its admission. A full stage sheds or waits for space as `wait` says;
+    /// a closed one hands the job back with [`ShedReason::PoolClosed`].
+    fn push(&self, mut job: Job, wait: &mut Wait<'_>) -> Result<(), (Responder, ShedReason)> {
+        let capacity = self.capacity;
+        let has_room = |state: &mut StageState| {
+            (state.closed || capacity == 0 || state.jobs.len() < capacity).then_some(())
+        };
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if has_room(&mut state).is_none() {
+            if !wait.block {
+                return Err((job.responder, ShedReason::RoutingStageFull));
+            }
+            wait.note();
+            state.space_waiters += 1;
+            let ready;
+            (state, ready) = wait_for(&self.space, state, wait.deadline, has_room);
+            state.space_waiters -= 1;
+            if ready.is_none() {
+                return Err((job.responder, ShedReason::BackpressureTimeout));
+            }
+        }
         if state.closed {
-            drop(state);
-            return StagePush::Closed(job);
+            return Err((job.responder, ShedReason::PoolClosed));
         }
-        if self.capacity > 0 && state.jobs.len() >= self.capacity {
-            drop(state);
-            return StagePush::Full(job);
-        }
+        job.staged = Some(Instant::now());
         state.jobs.push_back(job);
         self.in_stage.fetch_add(1, Ordering::SeqCst);
         drop(state);
         self.available.notify_one();
-        StagePush::Queued
+        Ok(())
     }
 
     /// Routing-worker-side blocking pop; `None` once the stage is closed
     /// *and* empty, so a shutdown still drains every in-stage job through
     /// the worker (which resolves each one typed).
     fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                if state.space_waiters > 0 {
-                    self.space.notify_all();
-                }
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut state, _) = wait_for(&self.available, state, None, |state| {
+            (state.closed || !state.jobs.is_empty()).then_some(())
+        });
+        let job = state.jobs.pop_front()?;
+        if state.space_waiters > 0 {
+            self.space.notify_all();
         }
-    }
-
-    /// Parks a backpressured submitter until the stage has room, closes,
-    /// or the deadline passes. Returns `false` only on timeout.
-    fn wait_for_space(&self, wait_deadline: Option<Instant>) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.space_waiters += 1;
-        let mut timed_out = false;
-        loop {
-            if state.closed || self.capacity == 0 || state.jobs.len() < self.capacity {
-                break;
-            }
-            match wait_deadline {
-                None => {
-                    state = self
-                        .space
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        timed_out = true;
-                        break;
-                    }
-                    (state, _) = self
-                        .space
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        state.space_waiters -= 1;
-        drop(state);
-        !timed_out
+        Some(job)
     }
 
     /// Marks the stage closed and wakes the routing worker (to drain and
     /// exit) and every backpressured submitter. Idempotent.
     fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.closed = true;
-        drop(state);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.available.notify_all();
         self.space.notify_all();
     }
 }
 
-/// The routing/batching counters shared by the pool handle, the routing
-/// worker and every shard worker. Present on every pool; a pool built
-/// without [`RoutingConfig`] has `enabled == false`, `max_batch == 1`
-/// (never coalesces) and keeps every counter zero.
+/// The routing and batching counters behind [`RoutingPoolStats`]. All zero,
+/// with `max_batch == 1`, on a pool built without [`RoutingConfig`].
 struct RoutingShared {
-    enabled: bool,
-    /// Per-dequeue coalescing bound, clamped to at least 1.
+    /// Per-dequeue run bound, clamped to at least 1.
     max_batch: usize,
     routed_async: AtomicU64,
     shed_stage_full: AtomicU64,
@@ -1728,7 +1698,6 @@ struct RoutingShared {
 impl RoutingShared {
     fn new(config: Option<RoutingConfig>) -> Self {
         Self {
-            enabled: config.is_some(),
             max_batch: config.map_or(1, |c| c.max_batch.max(1)),
             routed_async: AtomicU64::new(0),
             shed_stage_full: AtomicU64::new(0),
@@ -1740,27 +1709,14 @@ impl RoutingShared {
     }
 }
 
-/// What one push attempt against a shard queue produced. `Full` and
-/// `Closed` hand the job back so the admission loop can wait, re-route or
-/// shed it without consuming the request.
-enum PushAttempt {
-    Queued,
-    /// The bound was hit and (under [`ShedPolicy::DropLowestPriority`]) a
-    /// strictly-lower-priority victim was evicted to make room; the victim
-    /// is resolved by the caller outside the locks.
-    QueuedEvicting(Job),
-    Full(Job),
-    Closed(Job),
-}
-
-/// The pool-wide front door: the admission config (if any) and the exact
-/// counters behind [`AdmissionPoolStats`]. Present on every pool — an
-/// uncontrolled pool keeps the in-flight gauge and the shutdown-race
-/// counter, and everything else stays zero.
+/// The pool-wide front door: the admission config and the exact counters
+/// behind [`AdmissionPoolStats`]. A pool built without admission control
+/// runs `AdmissionConfig::bounded(0)`: unbounded queues, no in-flight cap.
+#[derive(Default)]
 struct FrontDoor {
-    config: Option<AdmissionConfig>,
-    /// Admitted requests not yet resolved. Maintained on every pool;
-    /// enforced as a cap only when configured.
+    config: AdmissionConfig,
+    /// Admitted requests not yet resolved; a cap only when
+    /// [`AdmissionConfig::max_in_flight`] is set.
     in_flight: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_in_flight: AtomicU64,
@@ -1770,60 +1726,91 @@ struct FrontDoor {
 }
 
 impl FrontDoor {
-    fn new(config: Option<AdmissionConfig>) -> Self {
-        Self {
-            config,
-            in_flight: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_in_flight: AtomicU64::new(0),
-            shed_timeout: AtomicU64::new(0),
-            shed_closed: AtomicU64::new(0),
-            backpressure_waits: AtomicU64::new(0),
+    /// Tries to take one in-flight slot; without a cap the gauge just
+    /// increments and admission always succeeds.
+    fn reserve_in_flight(&self) -> bool {
+        let cap = self.config.max_in_flight as u64;
+        if cap == 0 {
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            return true;
         }
-    }
-
-    /// The per-shard queue bound, if one is configured (`0` = unbounded).
-    fn queue_capacity(&self) -> usize {
-        self.config.map_or(0, |c| c.queue_capacity)
-    }
-
-    fn shed_policy(&self) -> ShedPolicy {
-        self.config
-            .map_or(ShedPolicy::RejectNewest, |c| c.shed_policy)
+        self.in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok()
     }
 }
 
-/// Drain/shutdown coordination: workers notify after a served request, but
-/// only when a drain is actually parked — the common serving path pays one
-/// relaxed-free atomic load, not a mutex round-trip per request.
+/// How one placement treats a full queue: shed at once, or (`block`) wait
+/// for space until `deadline` (`None` waits forever).
+struct Wait<'a> {
+    block: bool,
+    deadline: Option<Instant>,
+    /// The backpressure counter, until this admission counts its one wait;
+    /// `None` for the routing worker, whose waits are not a submitter's.
+    uncounted: Option<&'a AtomicU64>,
+}
+
+impl Wait<'_> {
+    /// Counts the first backpressure wait of one admission.
+    fn note(&mut self) {
+        if let Some(waits) = self.uncounted.take() {
+            waits.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Drain and capacity-wait coordination: workers notify after a completion
+/// only when someone is parked, so the common serving path pays one atomic
+/// load, not a mutex round-trip per request.
 ///
 /// `waiters` and the completion counters are all `SeqCst` so a worker's
-/// "completed, is anyone waiting?" and a drain's "waiting, is anything
+/// "completed, is anyone waiting?" and a waiter's "waiting, is anything
 /// pending?" cannot both read stale values: one of them always observes the
 /// other, which rules out a sleep with nothing left to wake it.
+#[derive(Default)]
 struct Progress {
     lock: Mutex<()>,
     served: Condvar,
     waiters: AtomicU64,
 }
 
-/// One shard's resolution counters, shared between the pool and its worker.
-/// `submitted` lives separately on the [`Shard`] because only the submitting
-/// side touches it.
+impl Progress {
+    /// Parks until `poll` yields or `deadline` passes (`None` on timeout).
+    /// The waiter registers itself before its first poll, per the type
+    /// docs.
+    fn wait<R>(&self, deadline: Option<Instant>, mut poll: impl FnMut() -> Option<R>) -> Option<R> {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let ready = wait_for(&self.served, guard, deadline, |_| poll()).1;
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        ready
+    }
+
+    /// Wakes any parked drain or capacity waiter. Taking the lock before
+    /// notifying pairs with [`Progress::wait`] holding it across its poll,
+    /// so no wake-up is ever missed.
+    fn notify(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.served.notify_all();
+        }
+    }
+}
+
+/// One shard's resolution counters; see [`ShardStats`] for their balance.
 #[derive(Debug, Default)]
 struct ShardCounters {
     completed: AtomicU64,
-    /// Requests served successfully; with `failed`, `expired` and `shed`
-    /// this partitions `completed`.
     served: AtomicU64,
-    /// Requests dropped by a panic inside `serve`; a subset of `completed`.
+    /// Requests dropped by a panic mid-serve.
     failed: AtomicU64,
-    /// Deadline-expired requests shed at dequeue; a subset of `completed`.
+    /// Deadline-expired requests shed at dequeue.
     expired: AtomicU64,
-    /// Queued requests evicted by higher-priority arrivals; a subset of
-    /// `completed`.
+    /// Queued requests evicted by higher-priority arrivals.
     shed: AtomicU64,
-    /// Execution attempts that returned [`seer_gpu::DeviceFailed`].
+    /// Execution attempts that returned [`DeviceFailed`].
     device_failures: AtomicU64,
     /// Requests retried once after a dead-device first attempt.
     retried: AtomicU64,
@@ -1831,31 +1818,99 @@ struct ShardCounters {
     migrated: AtomicU64,
 }
 
+/// One shard: a private engine pinned to a device, its queue and its
+/// counters, shared by the pool core and the shard's worker thread.
 struct Shard {
-    engine: Arc<SeerEngine>,
+    index: usize,
     /// The fleet device this shard is pinned to: device-affinity routing
     /// only sends it requests whose selection placed the workload here.
     device: DeviceId,
-    /// The shard's priority-lane queue. Closed (not dropped) by shutdown or
-    /// this shard's device retirement; the worker drains the backlog and
-    /// exits.
-    queue: Arc<ShardQueue>,
-    worker: Option<JoinHandle<()>>,
-    submitted: Arc<AtomicU64>,
-    counters: Arc<ShardCounters>,
+    engine: SeerEngine,
+    /// Closed (never dropped) by shutdown or this shard's device
+    /// retirement; the worker drains the backlog and exits.
+    queue: ShardQueue,
+    /// Requests pushed onto the queue.
+    submitted: AtomicU64,
+    counters: ShardCounters,
 }
 
-/// The membership-mutable core of a pool: the shard list and the per-device
-/// shard groups. One `RwLock` guards both, so routing reads a consistent
-/// snapshot while [`ServingPool::add_device`]/[`ServingPool::retire_device`]
-/// mutate membership under the write side.
+/// The membership-mutable part of a pool: the shards, their worker threads
+/// and the per-device shard groups. One `RwLock` guards all three, so
+/// routing reads a consistent snapshot while [`ServingPool::add_device`] /
+/// [`ServingPool::retire_device`] mutate membership under the write side.
+#[derive(Default)]
 struct PoolInner {
-    shards: Vec<Shard>,
+    /// Append-only, like the fleet roster, so shard indices in issued
+    /// tickets stay valid.
+    shards: Vec<Arc<Shard>>,
+    /// Each shard's worker, by shard index; taken and joined by a retire of
+    /// its device or by shutdown.
+    workers: Vec<Option<JoinHandle<()>>>,
     /// Shard indices pinned to each device, indexed by [`DeviceId`]. A
-    /// retired device's group is emptied in place (the entry stays, so
-    /// indexing by device id keeps working); shards are append-only, like
-    /// the fleet roster, so shard indices in issued tickets stay valid.
+    /// retired device's group is emptied in place, so indexing by device id
+    /// keeps working.
     device_groups: Vec<Vec<usize>>,
+}
+
+/// What the pool handle, the routing worker and every shard worker share,
+/// through one `Arc`.
+struct PoolCore {
+    inner: RwLock<PoolInner>,
+    /// The shared fleet engine that resolves device affinity. `None` while
+    /// the pool serves a single device: with one device there is nothing to
+    /// place, and routing is the bare fingerprint hash. Readers clone the
+    /// `Arc` and drop the guard at once, so this lock is never held across
+    /// the `inner` lock.
+    router: RwLock<Option<Arc<SeerEngine>>>,
+    progress: Progress,
+    front_door: FrontDoor,
+    routing: RoutingShared,
+    /// The bounded submit-side stage, present only with [`RoutingConfig`].
+    stage: Option<RoutingStage>,
+    latency: LatencyRecorder,
+    /// Set by shutdown: a push refused by a closed queue then sheds typed
+    /// instead of re-routing.
+    closing: AtomicBool,
+}
+
+impl PoolCore {
+    /// The shared router engine, if the pool has one. Clones the handle so
+    /// the router lock is released before any other pool lock is taken.
+    fn router(&self) -> Option<Arc<SeerEngine>> {
+        self.router
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// The request's device placement from the router (`None` on a
+    /// single-device pool), resolved with no pool lock held.
+    fn placement(&self, request: &ServingRequest) -> Option<Selection> {
+        self.router().map(|router| {
+            router.select_with_policy(&request.matrix, request.iterations, request.policy)
+        })
+    }
+
+    /// Requests accepted but not yet resolved: the shard deltas plus the
+    /// jobs still in the routing stage, so a drain cannot slip past work
+    /// the routing worker has not forwarded yet.
+    fn pending(&self) -> u64 {
+        // Read the stage gauge *before* the shard deltas: a job leaving the
+        // stage increments its shard's `submitted` first, so whichever
+        // interleaving this races, the job is visible on at least one side.
+        let in_stage = self
+            .stage
+            .as_ref()
+            .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst));
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        inner.shards.iter().fold(in_stage, |n, s| {
+            n.saturating_add(
+                s.submitted
+                    .load(Ordering::SeqCst)
+                    .saturating_sub(s.counters.completed.load(Ordering::SeqCst)),
+            )
+        })
+    }
 }
 
 /// A sharded, multi-threaded serving front-end for Seer selections — and,
@@ -1874,35 +1929,10 @@ pub struct ServingPool {
     /// The pool-wide shared recalibration table, if configured — late-joining
     /// shard engines are installed onto the same table.
     recalibration: Option<Arc<Recalibration>>,
-    /// `Arc` so the dedicated routing worker (when configured) shares the
-    /// same membership snapshot the submit path reads.
-    inner: Arc<RwLock<PoolInner>>,
-    /// The shared fleet engine that resolves device affinity at submit time.
-    /// `None` while the pool serves a single device (with one device there
-    /// is nothing to place, and routing stays the bare-fingerprint hash of
-    /// the pre-fleet pool); built when `add_device` makes the fleet
-    /// multi-device. Readers clone the `Arc` and drop the guard immediately,
-    /// so this lock is never held across the `inner` lock. `Arc`-wrapped so
-    /// the routing worker resolves affinity off the submitter thread.
-    router: Arc<RwLock<Option<Arc<SeerEngine>>>>,
-    progress: Arc<Progress>,
-    /// The admission config and front-door counters (present even without
-    /// admission control, where only the in-flight gauge and the
-    /// shutdown-race counter ever move).
-    front_door: Arc<FrontDoor>,
-    /// Routing/batching counters, shared with the routing worker and every
-    /// shard worker (all zero, `max_batch == 1`, without [`RoutingConfig`]).
-    routing: Arc<RoutingShared>,
-    /// The bounded submit-side stage, present only with [`RoutingConfig`].
-    routing_stage: Option<Arc<RoutingStage>>,
-    /// The dedicated routing worker draining the stage; joined by
-    /// [`ServingPool::stop_workers`].
-    routing_worker: Mutex<Option<JoinHandle<()>>>,
-    /// Pool-wide latency histograms, shared with every worker.
-    latency: Arc<LatencyRecorder>,
-    /// Set by [`ServingPool::begin_shutdown`]: the front door refuses new
-    /// work instead of re-routing into queues that are all closing.
-    closing: Arc<AtomicBool>,
+    core: Arc<PoolCore>,
+    /// The routing worker draining the stage, present only with
+    /// [`RoutingConfig`]; joined by [`ServingPool::stop_workers`].
+    routing_worker: Option<JoinHandle<()>>,
     started: Instant,
 }
 
@@ -1928,74 +1958,50 @@ impl ServingPool {
     /// time. Every shard engine shares the whole fleet, so the selections
     /// it serves are identical to a sequential fleet engine's.
     pub fn with_fleet(fleet: Fleet, models: Arc<SeerModels>, config: PoolConfig) -> Self {
-        let progress = Arc::new(Progress {
-            lock: Mutex::new(()),
-            served: Condvar::new(),
-            waiters: AtomicU64::new(0),
-        });
+        let config = PoolConfig {
+            shards: config.shards.max(1),
+            ..config
+        };
         // One correction table for the whole pool: every shard engine and
         // the router share it, so an observation on any shard's execute
         // traffic reweights every engine's corrected placement at once.
         let recalibration = config
             .recalibration
             .map(|recal| Arc::new(Recalibration::new(recal, fleet.len())));
+        let core = Arc::new(PoolCore {
+            inner: RwLock::default(),
+            router: RwLock::new(None),
+            progress: Progress::default(),
+            front_door: FrontDoor {
+                config: config.admission.unwrap_or(AdmissionConfig::bounded(0)),
+                ..FrontDoor::default()
+            },
+            routing: RoutingShared::new(config.routing),
+            stage: config.routing.map(|routing| RoutingStage {
+                capacity: routing.stage_capacity,
+                ..RoutingStage::default()
+            }),
+            latency: LatencyRecorder::new(),
+            closing: AtomicBool::new(false),
+        });
+        let routing_worker = core.stage.is_some().then(|| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("seer-routing".into())
+                .spawn(move || routing_worker_loop(&core))
+                .expect("spawn routing worker")
+        });
         let pool = Self {
             fleet: fleet.clone(),
             models,
-            config: PoolConfig {
-                shards: config.shards.max(1),
-                ..config
-            },
+            config,
             recalibration,
-            inner: Arc::new(RwLock::new(PoolInner {
-                shards: Vec::new(),
-                device_groups: vec![Vec::new(); fleet.len()],
-            })),
-            router: Arc::new(RwLock::new(None)),
-            progress,
-            front_door: Arc::new(FrontDoor::new(config.admission)),
-            routing: Arc::new(RoutingShared::new(config.routing)),
-            routing_stage: config
-                .routing
-                .map(|routing| RoutingStage::new(routing.stage_capacity)),
-            routing_worker: Mutex::new(None),
-            latency: Arc::new(LatencyRecorder::new()),
-            closing: Arc::new(AtomicBool::new(false)),
+            core,
+            routing_worker,
             started: Instant::now(),
         };
-        {
-            let mut inner = pool.inner.write().unwrap_or_else(PoisonError::into_inner);
-            for device in fleet.ids() {
-                for _ in 0..pool.config.shards {
-                    let index = inner.shards.len();
-                    let shard = pool.spawn_shard(index, device);
-                    inner.device_groups[device.index()].push(index);
-                    inner.shards.push(shard);
-                }
-            }
-        }
-        if !fleet.is_single_device() {
-            *pool.router.write().unwrap_or_else(PoisonError::into_inner) =
-                Some(pool.build_engine());
-        }
-        if let Some(stage) = &pool.routing_stage {
-            let ctx = RoutingCtx {
-                stage: Arc::clone(stage),
-                inner: Arc::clone(&pool.inner),
-                router: Arc::clone(&pool.router),
-                progress: Arc::clone(&pool.progress),
-                front_door: Arc::clone(&pool.front_door),
-                routing: Arc::clone(&pool.routing),
-                closing: Arc::clone(&pool.closing),
-            };
-            let worker = std::thread::Builder::new()
-                .name("seer-routing".into())
-                .spawn(move || routing_worker_loop(&ctx))
-                .expect("spawn routing worker");
-            *pool
-                .routing_worker
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(worker);
+        for device in fleet.ids() {
+            pool.attach_device(device);
         }
         pool
     }
@@ -2006,48 +2012,13 @@ impl ServingPool {
     /// runtime [`ServingPool::add_device`]. On the router, inherited routing
     /// stays device-affine: a class hit pins the whole class's placement to
     /// one device group.
-    fn build_engine(&self) -> Arc<SeerEngine> {
-        let engine = Arc::new(SeerEngine::with_fleet(
-            self.fleet.clone(),
-            Arc::clone(&self.models),
-        ));
+    fn build_engine(&self) -> SeerEngine {
+        let engine = SeerEngine::with_fleet(self.fleet.clone(), Arc::clone(&self.models));
         engine.set_structure_class_reuse(self.config.structure_class_reuse);
         if let Some(recal) = &self.recalibration {
             engine.install_recalibration(Arc::clone(recal));
         }
         engine
-    }
-
-    /// Builds one shard pinned to `device` and starts its worker thread.
-    fn spawn_shard(&self, index: usize, device: DeviceId) -> Shard {
-        let engine = self.build_engine();
-        let queue = ShardQueue::new();
-        let counters = Arc::new(ShardCounters::default());
-        let worker = {
-            let ctx = WorkerContext {
-                shard: index,
-                device,
-                engine: Arc::clone(&engine),
-                queue: Arc::clone(&queue),
-                counters: Arc::clone(&counters),
-                progress: Arc::clone(&self.progress),
-                front_door: Arc::clone(&self.front_door),
-                latency: Arc::clone(&self.latency),
-                routing: Arc::clone(&self.routing),
-            };
-            std::thread::Builder::new()
-                .name(format!("seer-shard-{index}"))
-                .spawn(move || worker_loop(&ctx))
-                .expect("spawn serving worker")
-        };
-        Shard {
-            engine,
-            device,
-            queue,
-            worker: Some(worker),
-            submitted: Arc::new(AtomicU64::new(0)),
-            counters,
-        }
     }
 
     /// Joins a new device to the *running* pool: registers it with the
@@ -2082,26 +2053,50 @@ impl ServingPool {
         Ok(device)
     }
 
-    /// Publishes shards for a device already registered with the fleet.
+    /// Spawns and publishes the shards of a device already registered with
+    /// the fleet.
     fn attach_device(&self, device: DeviceId) {
         // Build the router before the new shards become routable: a
-        // formerly single-device pool now has placements to resolve. The
-        // router lock is taken and released before touching `inner`.
+        // multi-device fleet has placements to resolve. The router lock is
+        // taken and released before touching `inner`.
         if !self.fleet.is_single_device() {
-            let mut router = self.router.write().unwrap_or_else(PoisonError::into_inner);
+            let mut router = self
+                .core
+                .router
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             if router.is_none() {
-                *router = Some(self.build_engine());
+                *router = Some(Arc::new(self.build_engine()));
             }
         }
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        while inner.device_groups.len() <= device.index() {
-            inner.device_groups.push(Vec::new());
+        let mut inner = self
+            .core
+            .inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if inner.device_groups.len() <= device.index() {
+            inner.device_groups.resize(device.index() + 1, Vec::new());
         }
         for _ in 0..self.config.shards {
             let index = inner.shards.len();
-            let shard = self.spawn_shard(index, device);
+            let shard = Arc::new(Shard {
+                index,
+                device,
+                engine: self.build_engine(),
+                queue: ShardQueue::default(),
+                submitted: AtomicU64::new(0),
+                counters: ShardCounters::default(),
+            });
+            let worker = {
+                let (core, shard) = (Arc::clone(&self.core), Arc::clone(&shard));
+                std::thread::Builder::new()
+                    .name(format!("seer-shard-{index}"))
+                    .spawn(move || worker_loop(&core, &shard))
+                    .expect("spawn serving worker")
+            };
             inner.device_groups[device.index()].push(index);
             inner.shards.push(shard);
+            inner.workers.push(Some(worker));
         }
     }
 
@@ -2123,49 +2118,46 @@ impl ServingPool {
         self.fleet.retire_device(device)?;
         // Narrow invalidation everywhere the device's costs could be
         // cached: queued work re-selects against the shrunken live set.
+        for shard in &self
+            .core
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shards
         {
-            let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-            for shard in &inner.shards {
-                shard.engine.invalidate_device(device);
-            }
+            shard.engine.invalidate_device(device);
         }
-        if let Some(router) = self.router_handle() {
+        if let Some(router) = self.core.router() {
             router.invalidate_device(device);
         }
         // Unpublish the group and close its queues under the write lock —
-        // a submit that raced past routing either reached the senders
-        // before this (its job drains below) or re-routes to survivors.
-        let mut workers = Vec::new();
-        {
-            let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        // a submit that raced past routing either reached the queue before
+        // this (its job drains below) or re-routes to survivors.
+        let workers: Vec<JoinHandle<()>> = {
+            let mut inner = self
+                .core
+                .inner
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             let group = inner
                 .device_groups
                 .get_mut(device.index())
                 .map(std::mem::take)
                 .unwrap_or_default();
-            for index in group {
-                let shard = &mut inner.shards[index];
-                shard.queue.close();
-                if let Some(worker) = shard.worker.take() {
-                    workers.push(worker);
-                }
-            }
-        }
-        // Joining outside the lock lets the drained backlog submit-side
-        // progress (stats, drain) proceed while the group winds down.
+            group
+                .into_iter()
+                .filter_map(|index| {
+                    inner.shards[index].queue.close();
+                    inner.workers[index].take()
+                })
+                .collect()
+        };
+        // Joining outside the lock lets submit-side progress (stats, drain)
+        // proceed while the group winds down.
         for worker in workers {
             join_worker(worker);
         }
         Ok(())
-    }
-
-    /// The shared router engine, if the pool has one. Clones the handle so
-    /// the router lock is released before any other pool lock is taken.
-    fn router_handle(&self) -> Option<Arc<SeerEngine>> {
-        self.router
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Builds a pool serving the same fleet and models as `engine` — a
@@ -2182,7 +2174,8 @@ impl ServingPool {
     /// shards of retired devices — shard indices are append-only so ticket
     /// and stats indices stay valid across membership changes.
     pub fn shards(&self) -> usize {
-        self.inner
+        self.core
+            .inner
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .shards
@@ -2213,12 +2206,13 @@ impl ServingPool {
     /// Resolving affinity on a fleet pool consults (and warms) the shared
     /// router engine, exactly as submitting the request would.
     pub fn shard_for_request(&self, request: &ServingRequest) -> usize {
-        let selection = self.router_handle().map(|router| {
-            router.select_with_policy(&request.matrix, request.iterations, request.policy)
-        });
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let selection = self.core.placement(request);
         route_in(
-            &inner,
+            &self
+                .core
+                .inner
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
             request.matrix.sparsity_fingerprint(),
             selection.as_ref(),
         )
@@ -2281,13 +2275,13 @@ impl ServingPool {
     }
 
     /// The admission path shared by every submit flavour. `block` decides
-    /// whether capacity exhaustion sheds immediately or waits
-    /// (`wait_deadline` bounds the wait; `None` waits forever).
+    /// whether capacity exhaustion sheds immediately or waits (`deadline`
+    /// bounds the wait; `None` waits forever).
     fn admit(
         &self,
         request: ServingRequest,
         block: bool,
-        wait_deadline: Option<Instant>,
+        deadline: Option<Instant>,
     ) -> SubmitOutcome {
         if let Workload::Execute { x } = &request.workload {
             assert_eq!(
@@ -2296,226 +2290,78 @@ impl ServingPool {
                 "execute request needs x.len() == matrix.cols()"
             );
         }
-        if self.closing.load(Ordering::SeqCst) {
+        let core = &*self.core;
+        if core.closing.load(Ordering::SeqCst) {
             return self.refuse(ShedReason::PoolClosed);
         }
-        let capacity = self.front_door.queue_capacity();
-        let policy = self.front_door.shed_policy();
-        // Tracks whether this admission already counted one backpressure
-        // wait — a submit that waits on both the cap and a queue still
-        // counts once.
-        let mut waited = false;
-
-        // Phase 1: reserve the pool-wide in-flight slot. The gauge is
-        // maintained on every pool; only a configured cap can refuse.
-        let cap = self.front_door.config.map_or(0, |c| c.max_in_flight) as u64;
-        if !self.reserve_in_flight(cap) {
+        let door = &core.front_door;
+        // One admission counts at most one backpressure wait, however many
+        // brakes it waits on.
+        let mut wait = Wait {
+            block,
+            deadline,
+            uncounted: Some(&door.backpressure_waits),
+        };
+        if !door.reserve_in_flight() {
             if !block {
                 return self.refuse(ShedReason::InFlightCap);
             }
-            if let Err(reason) = self.wait_for_in_flight(cap, wait_deadline, &mut waited) {
+            wait.note();
+            let reserved = core.progress.wait(deadline, || {
+                if core.closing.load(Ordering::SeqCst) {
+                    Some(Err(ShedReason::PoolClosed))
+                } else {
+                    door.reserve_in_flight().then_some(Ok(()))
+                }
+            });
+            if let Err(reason) = reserved.unwrap_or(Err(ShedReason::BackpressureTimeout)) {
                 return self.refuse(reason);
             }
         }
-
-        // Phase 2: route and enqueue, retrying across membership changes.
-        // Holding the `inner` read guard across the push is the no-lost-
-        // ticket guarantee: a group cannot be unpublished between routing
-        // to it and landing in its queue.
         let cell = TicketCell::new();
+        let now = Instant::now();
         let mut job = Job {
             request,
             responder: Responder {
                 cell: Some(Arc::clone(&cell)),
                 shard: 0,
             },
-            admitted: Instant::now(),
+            staged: None,
+            queued: now,
             fingerprint: 0,
         };
-
-        // Routing offload: hand the admitted job to the bounded stage in
-        // O(1) — no fingerprint hash, no router selection, no cache walk on
-        // this thread. The routing worker resolves placement and forwards;
-        // the ticket's shard is unknown at submit time (`usize::MAX`).
-        if let Some(stage) = &self.routing_stage {
-            let submit_started = Instant::now();
-            loop {
-                if self.closing.load(Ordering::SeqCst) {
-                    return self.abandon(job, ShedReason::PoolClosed);
-                }
-                match stage.push(job) {
-                    StagePush::Queued => {
-                        self.routing.submit.record(submit_started.elapsed());
-                        return SubmitOutcome::Accepted(Ticket {
-                            cell,
-                            shard: usize::MAX,
-                            received: None,
-                        });
-                    }
-                    StagePush::Full(returned) => {
-                        job = returned;
-                        if !block {
-                            return self.abandon(job, ShedReason::RoutingStageFull);
-                        }
-                        self.note_backpressure(&mut waited);
-                        if !stage.wait_for_space(wait_deadline) {
-                            return self.abandon(job, ShedReason::BackpressureTimeout);
-                        }
-                        // Space freed (or the stage closed): retry.
-                    }
-                    StagePush::Closed(returned) => {
-                        return self.abandon(returned, ShedReason::PoolClosed);
-                    }
-                }
-            }
-        }
-
-        // Inline routing: the classic path. The routing key is computed
-        // once here and carried with the job through every later hop.
-        job.fingerprint = job.request.matrix.sparsity_fingerprint();
-        loop {
-            if self.closing.load(Ordering::SeqCst) {
-                return self.abandon(job, ShedReason::PoolClosed);
-            }
-            // Device affinity first, with no pool locks held.
-            let selection = self.router_handle().map(|router| {
-                router.select_with_policy(
-                    &job.request.matrix,
-                    job.request.iterations,
-                    job.request.policy,
-                )
-            });
-            let (attempt, shard_index, queue, counters) = {
-                let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-                let shard_index = route_in(&inner, job.fingerprint, selection.as_ref());
-                let shard = &inner.shards[shard_index];
-                (
-                    push_job(shard, shard_index, job, capacity, policy),
-                    shard_index,
-                    Arc::clone(&shard.queue),
-                    Arc::clone(&shard.counters),
-                )
-            };
-            match attempt {
-                PushAttempt::Queued => {
-                    return SubmitOutcome::Accepted(Ticket {
-                        cell,
-                        shard: shard_index,
-                        received: None,
-                    });
-                }
-                PushAttempt::QueuedEvicting(victim) => {
-                    // Outside every pool lock: resolving the victim's
-                    // ticket wakes its waiter directly.
-                    resolve_evicted(
-                        shard_index,
-                        &counters,
-                        victim,
-                        &self.front_door,
-                        &self.progress,
-                    );
-                    return SubmitOutcome::Accepted(Ticket {
-                        cell,
-                        shard: shard_index,
-                        received: None,
-                    });
-                }
-                PushAttempt::Full(returned) => {
-                    job = returned;
-                    if !block {
-                        return self.abandon(job, ShedReason::QueueFull { shard: shard_index });
-                    }
-                    self.note_backpressure(&mut waited);
-                    if !wait_for_space(&queue, capacity, wait_deadline) {
-                        return self.abandon(job, ShedReason::BackpressureTimeout);
-                    }
-                    // Space freed (or the queue closed): re-route and retry.
-                }
-                PushAttempt::Closed(returned) => {
-                    // A closed queue under the read lock means membership
-                    // moved on (or shutdown started) — the next routing
-                    // pass lands on survivors or exits through the closing
-                    // check above.
-                    job = returned;
-                }
-            }
-        }
-    }
-
-    /// Tries to take one in-flight slot; with `cap == 0` the gauge just
-    /// increments and admission always succeeds.
-    fn reserve_in_flight(&self, cap: u64) -> bool {
-        if cap == 0 {
-            self.front_door.in_flight.fetch_add(1, Ordering::SeqCst);
-            return true;
-        }
-        self.front_door
-            .in_flight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < cap).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Parks on the progress condvar until a completion frees an in-flight
-    /// slot (and takes it), the deadline passes, or shutdown begins. The
-    /// waiter registers itself *before* re-checking the cap — the same
-    /// ordering argument as [`Progress`] — so a completion can never slip
-    /// between the check and the sleep.
-    fn wait_for_in_flight(
-        &self,
-        cap: u64,
-        wait_deadline: Option<Instant>,
-        waited: &mut bool,
-    ) -> Result<(), ShedReason> {
-        self.note_backpressure(waited);
-        self.progress.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self
-            .progress
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let outcome = loop {
-            if self.closing.load(Ordering::SeqCst) {
-                break Err(ShedReason::PoolClosed);
-            }
-            if self.reserve_in_flight(cap) {
-                break Ok(());
-            }
-            match wait_deadline {
-                None => {
-                    guard = self
-                        .progress
-                        .served
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break Err(ShedReason::BackpressureTimeout);
-                    }
-                    (guard, _) = self
-                        .progress
-                        .served
-                        .wait_timeout(guard, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+        let placed = match &core.stage {
+            // Routing offload: an O(1) push — no fingerprint hash, no router
+            // selection, no cache walk on this thread. The routing worker
+            // places the job, so its ticket has no shard yet.
+            Some(stage) => stage.push(job, &mut wait).map(|()| {
+                core.routing.submit.record(now.elapsed());
+                usize::MAX
+            }),
+            None => {
+                job.fingerprint = job.request.matrix.sparsity_fingerprint();
+                route_and_push(core, job, &mut wait)
             }
         };
-        drop(guard);
-        self.progress.waiters.fetch_sub(1, Ordering::SeqCst);
-        outcome
+        match placed {
+            Ok(shard) => SubmitOutcome::Accepted(Ticket {
+                cell,
+                shard,
+                received: None,
+            }),
+            Err((responder, reason)) => self.abandon(responder, reason),
+        }
     }
 
     /// Counts one front-door refusal and returns the shed outcome.
     fn refuse(&self, reason: ShedReason) -> SubmitOutcome {
+        let door = &self.core.front_door;
         let counter = match reason {
-            ShedReason::QueueFull { .. } => &self.front_door.shed_queue_full,
-            ShedReason::InFlightCap => &self.front_door.shed_in_flight,
-            ShedReason::BackpressureTimeout => &self.front_door.shed_timeout,
-            ShedReason::RoutingStageFull => &self.routing.shed_stage_full,
-            ShedReason::PoolClosed => &self.front_door.shed_closed,
+            ShedReason::QueueFull { .. } => &door.shed_queue_full,
+            ShedReason::InFlightCap => &door.shed_in_flight,
+            ShedReason::BackpressureTimeout => &door.shed_timeout,
+            ShedReason::RoutingStageFull => &self.core.routing.shed_stage_full,
+            ShedReason::PoolClosed => &door.shed_closed,
             ShedReason::Evicted { .. } => {
                 unreachable!("evictions revoke admitted requests, they are not refusals")
             }
@@ -2524,25 +2370,17 @@ impl ServingPool {
         SubmitOutcome::Shed { reason }
     }
 
-    /// Sheds a job that had already reserved its in-flight slot but never
-    /// reached a queue: releases the slot, defuses the responder (the
-    /// ticket was never handed out, so nothing must resolve it to
-    /// `WorkerDied`) and counts the refusal.
-    fn abandon(&self, mut job: Job, reason: ShedReason) -> SubmitOutcome {
-        job.responder.cell.take();
-        drop(job);
-        self.front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
+    /// Sheds a job that had already reserved its in-flight slot but was
+    /// never accepted: releases the slot, defuses its responder (the ticket
+    /// was never handed out, so nothing must resolve it to `WorkerDied`)
+    /// and counts the refusal.
+    fn abandon(&self, mut responder: Responder, reason: ShedReason) -> SubmitOutcome {
+        responder.cell = None;
+        self.core
+            .front_door
+            .in_flight
+            .fetch_sub(1, Ordering::SeqCst);
         self.refuse(reason)
-    }
-
-    /// Counts the first backpressure wait of one admission.
-    fn note_backpressure(&self, waited: &mut bool) {
-        if !*waited {
-            *waited = true;
-            self.front_door
-                .backpressure_waits
-                .fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     /// A pre-resolved ticket for a refused blocking submit, keeping
@@ -2571,12 +2409,17 @@ impl ServingPool {
     /// [`RoutingPoolStats::stage_closed`]) — never hang. Idempotent;
     /// [`ServingPool::shutdown`] calls it first.
     pub fn begin_shutdown(&self) {
-        self.closing.store(true, Ordering::SeqCst);
-        if let Some(stage) = &self.routing_stage {
+        self.core.closing.store(true, Ordering::SeqCst);
+        if let Some(stage) = &self.core.stage {
             stage.close();
         }
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        for shard in &inner.shards {
+        for shard in &self
+            .core
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shards
+        {
             shard.queue.close();
         }
     }
@@ -2589,120 +2432,66 @@ impl ServingPool {
 
     /// Blocks until every accepted request has been served.
     pub fn drain(&self) {
-        // Announce the wait before checking pending (both SeqCst): either a
-        // worker's completion is visible to our pending check, or our waiter
-        // announcement is visible to that worker's post-completion check and
-        // it will notify. See the `Progress` docs.
-        self.progress.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self
-            .progress
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while self.pending() > 0 {
-            guard = self
-                .progress
-                .served
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(guard);
-        self.progress.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Requests accepted but not yet served, across all shards — plus
-    /// accepted requests still waiting in the routing stage, so a drain
-    /// cannot slip past work the routing worker has not forwarded yet.
-    fn pending(&self) -> u64 {
-        // Read the stage gauge *before* the shard deltas: a job leaving the
-        // stage increments its shard's `submitted` first, so whichever
-        // interleaving this races, the job is visible on at least one side.
-        let in_stage = self
-            .routing_stage
-            .as_ref()
-            .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst));
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .shards
-            .iter()
-            .fold(0u64, |n, s| {
-                n.saturating_add(
-                    s.submitted
-                        .load(Ordering::SeqCst)
-                        .saturating_sub(s.counters.completed.load(Ordering::SeqCst)),
-                )
-            })
-            .saturating_add(in_stage)
+        let core = &*self.core;
+        core.progress
+            .wait(None, || (core.pending() == 0).then_some(()));
     }
 
     /// Current per-shard and aggregate counters.
     pub fn stats(&self) -> PoolStats {
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let core = &*self.core;
+        let inner = core.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let shards: Vec<ShardStats> = inner
+            .shards
+            .iter()
+            .map(|shard| ShardStats {
+                shard: shard.index,
+                device: shard.device,
+                submitted: shard.submitted.load(Ordering::Acquire),
+                completed: shard.counters.completed.load(Ordering::Acquire),
+                served: shard.counters.served.load(Ordering::Acquire),
+                failed: shard.counters.failed.load(Ordering::Acquire),
+                expired: shard.counters.expired.load(Ordering::Acquire),
+                shed: shard.counters.shed.load(Ordering::Acquire),
+                device_failures: shard.counters.device_failures.load(Ordering::Acquire),
+                retried: shard.counters.retried.load(Ordering::Acquire),
+                migrated: shard.counters.migrated.load(Ordering::Acquire),
+                engine: shard.engine.stats(),
+                cached_plans: shard.engine.cached_plans(),
+            })
+            .collect();
+        drop(inner);
+        let door = &core.front_door;
+        let routing = &core.routing;
         PoolStats {
-            shards: inner
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(index, shard)| ShardStats {
-                    shard: index,
-                    device: shard.device,
-                    submitted: shard.submitted.load(Ordering::Acquire),
-                    completed: shard.counters.completed.load(Ordering::Acquire),
-                    served: shard.counters.served.load(Ordering::Acquire),
-                    failed: shard.counters.failed.load(Ordering::Acquire),
-                    expired: shard.counters.expired.load(Ordering::Acquire),
-                    shed: shard.counters.shed.load(Ordering::Acquire),
-                    device_failures: shard.counters.device_failures.load(Ordering::Acquire),
-                    retried: shard.counters.retried.load(Ordering::Acquire),
-                    migrated: shard.counters.migrated.load(Ordering::Acquire),
-                    engine: shard.engine.stats(),
-                    cached_plans: shard.engine.cached_plans(),
-                })
-                .collect(),
-            router: self.router_handle().map(|router| router.stats()),
-            admission: self.admission_stats(&inner),
-            routing: self.routing_stats(),
-            latency: self.latency.snapshot(),
+            router: core.router().map(|router| router.stats()),
+            admission: AdmissionPoolStats {
+                enabled: self.config.admission.is_some(),
+                shed_queue_full: door.shed_queue_full.load(Ordering::SeqCst),
+                shed_in_flight: door.shed_in_flight.load(Ordering::SeqCst),
+                shed_timeout: door.shed_timeout.load(Ordering::SeqCst),
+                shed_closed: door.shed_closed.load(Ordering::SeqCst),
+                evicted: shards.iter().fold(0, |n, s| n.saturating_add(s.shed)),
+                expired: shards.iter().fold(0, |n, s| n.saturating_add(s.expired)),
+                backpressure_waits: door.backpressure_waits.load(Ordering::SeqCst),
+                in_flight: door.in_flight.load(Ordering::SeqCst),
+            },
+            routing: RoutingPoolStats {
+                enabled: self.config.routing.is_some(),
+                routed_async: routing.routed_async.load(Ordering::SeqCst),
+                shed_stage_full: routing.shed_stage_full.load(Ordering::SeqCst),
+                stage_closed: routing.stage_closed.load(Ordering::SeqCst),
+                batched_requests: routing.batched_requests.load(Ordering::SeqCst),
+                batch_activations: routing.batch_activations.load(Ordering::SeqCst),
+                in_stage: core
+                    .stage
+                    .as_ref()
+                    .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst)),
+                submit: routing.submit.snapshot(),
+            },
+            shards,
+            latency: core.latency.snapshot(),
             elapsed: self.started.elapsed(),
-        }
-    }
-
-    /// The routing-offload counter snapshot.
-    fn routing_stats(&self) -> RoutingPoolStats {
-        let routing = &self.routing;
-        RoutingPoolStats {
-            enabled: routing.enabled,
-            routed_async: routing.routed_async.load(Ordering::SeqCst),
-            shed_stage_full: routing.shed_stage_full.load(Ordering::SeqCst),
-            stage_closed: routing.stage_closed.load(Ordering::SeqCst),
-            batched_requests: routing.batched_requests.load(Ordering::SeqCst),
-            batch_activations: routing.batch_activations.load(Ordering::SeqCst),
-            in_stage: self
-                .routing_stage
-                .as_ref()
-                .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst)),
-            submit: routing.submit.snapshot(),
-        }
-    }
-
-    /// The front-door counter snapshot: pool-level refusal counters plus
-    /// the per-shard eviction/expiry sums.
-    fn admission_stats(&self, inner: &PoolInner) -> AdmissionPoolStats {
-        let door = &self.front_door;
-        AdmissionPoolStats {
-            enabled: door.config.is_some(),
-            shed_queue_full: door.shed_queue_full.load(Ordering::SeqCst),
-            shed_in_flight: door.shed_in_flight.load(Ordering::SeqCst),
-            shed_timeout: door.shed_timeout.load(Ordering::SeqCst),
-            shed_closed: door.shed_closed.load(Ordering::SeqCst),
-            evicted: inner.shards.iter().fold(0u64, |n, s| {
-                n.saturating_add(s.counters.shed.load(Ordering::SeqCst))
-            }),
-            expired: inner.shards.iter().fold(0u64, |n, s| {
-                n.saturating_add(s.counters.expired.load(Ordering::SeqCst))
-            }),
-            backpressure_waits: door.backpressure_waits.load(Ordering::SeqCst),
-            in_flight: door.in_flight.load(Ordering::SeqCst),
         }
     }
 
@@ -2726,28 +2515,23 @@ impl ServingPool {
     /// and the drained jobs resolve typed [`ServingError::PoolClosed`]
     /// instead.
     fn stop_workers(&mut self) {
-        self.closing.store(true, Ordering::SeqCst);
-        if let Some(stage) = &self.routing_stage {
+        self.core.closing.store(true, Ordering::SeqCst);
+        if let Some(stage) = &self.core.stage {
             stage.close();
         }
-        if let Some(worker) = self
-            .routing_worker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
+        if let Some(worker) = self.routing_worker.take() {
             join_worker(worker);
         }
         let workers: Vec<JoinHandle<()>> = {
-            let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-            for shard in &mut inner.shards {
+            let mut inner = self
+                .core
+                .inner
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            for shard in &inner.shards {
                 shard.queue.close();
             }
-            inner
-                .shards
-                .iter_mut()
-                .filter_map(|shard| shard.worker.take())
-                .collect()
+            inner.workers.iter_mut().filter_map(Option::take).collect()
         };
         for worker in workers {
             join_worker(worker);
@@ -2792,286 +2576,167 @@ fn route_in(inner: &PoolInner, fingerprint: u64, selection: Option<&Selection>) 
     (fingerprint % inner.shards.len().max(1) as u64) as usize
 }
 
+/// What one push attempt against a shard queue produced. `Full` and
+/// `Closed` hand the job back so the caller can wait, re-route or shed it.
+enum PushAttempt {
+    /// Queued — under [`ShedPolicy::DropLowestPriority`] by evicting the
+    /// returned strictly-lower-priority victim, which the caller resolves
+    /// outside the locks.
+    Queued(Option<Job>),
+    Full(Job),
+    Closed(Job),
+}
+
 /// One push attempt against a shard's queue, under the caller's `inner`
-/// read guard. Refreshes the job's admission timestamp so queue-wait
-/// samples measure time *in the queue*, not time spent backpressured
-/// before it. Returns the job on a full or closed queue so the admission
-/// loop can wait, re-route or shed it.
-fn push_job(
-    shard: &Shard,
-    shard_index: usize,
-    mut job: Job,
-    capacity: usize,
-    policy: ShedPolicy,
-) -> PushAttempt {
-    job.responder.shard = shard_index;
+/// read guard. Stamps the job's queue entry, the zero point of its
+/// queue-wait sample.
+fn push_job(shard: &Shard, mut job: Job, admission: &AdmissionConfig) -> PushAttempt {
+    job.responder.shard = shard.index;
+    let lane = job.request.priority.lane();
     let mut state = shard
         .queue
         .state
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     if state.closed {
-        drop(state);
         return PushAttempt::Closed(job);
     }
-    if capacity > 0 && state.len() >= capacity {
-        let incoming = job.request.priority.lane();
+    let mut victim = None;
+    if admission.queue_capacity > 0 && state.len() >= admission.queue_capacity {
         // Drop-lowest-priority: evict the *newest* job of the lowest class
         // strictly below the newcomer — the request that has waited least
         // in the most sheddable lane.
-        let victim = match policy {
-            ShedPolicy::DropLowestPriority => state
+        if admission.shed_policy == ShedPolicy::DropLowestPriority {
+            victim = state
                 .lanes
                 .iter_mut()
                 .enumerate()
                 .rev()
-                .find(|(lane, queue)| *lane > incoming && !queue.is_empty())
-                .and_then(|(_, queue)| queue.pop_back()),
-            ShedPolicy::RejectNewest => None,
-        };
-        let Some(victim) = victim else {
-            drop(state);
+                .find(|(index, queue)| *index > lane && !queue.is_empty())
+                .and_then(|(_, queue)| queue.pop_back());
+        }
+        if victim.is_none() {
             return PushAttempt::Full(job);
-        };
-        job.admitted = Instant::now();
-        state.lanes[incoming].push_back(job);
-        drop(state);
-        shard.submitted.fetch_add(1, Ordering::SeqCst);
-        shard.queue.available.notify_one();
-        return PushAttempt::QueuedEvicting(victim);
+        }
     }
-    job.admitted = Instant::now();
-    let lane = job.request.priority.lane();
+    job.queued = Instant::now();
+    // Counted before the worker can see the job, so `completed` never
+    // overtakes `submitted`.
+    shard.submitted.fetch_add(1, Ordering::SeqCst);
     state.lanes[lane].push_back(job);
     drop(state);
-    shard.submitted.fetch_add(1, Ordering::SeqCst);
     shard.queue.available.notify_one();
-    PushAttempt::Queued
+    PushAttempt::Queued(victim)
 }
 
-/// Parks a backpressured submitter until the queue has room, closes, or
-/// the deadline passes. Returns `false` only on timeout; `true` means
-/// "retry the admission loop" (room freed *or* the queue closed — the
-/// loop re-routes either way). Standard condvar discipline: the condition
-/// is re-checked under the queue mutex, so no wake is ever missed.
-fn wait_for_space(queue: &ShardQueue, capacity: usize, wait_deadline: Option<Instant>) -> bool {
-    let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
-    state.space_waiters += 1;
-    let mut timed_out = false;
+/// Routes `job` to its home shard and pushes it there; returns the shard's
+/// index. A queue closed by a retire re-routes to the survivors (the retire
+/// unpublished the group in the critical section that closed its queues);
+/// one closed by shutdown hands the job back with
+/// [`ShedReason::PoolClosed`]. A full queue evicts under
+/// [`ShedPolicy::DropLowestPriority`], then sheds or waits for space as
+/// `wait` says. Both `admit` (on the submitter's thread) and the routing
+/// worker place jobs through here.
+///
+/// Holding the `inner` read guard across the push is the no-lost-ticket
+/// guarantee: a group cannot be unpublished between routing to it and
+/// landing in its queue.
+fn route_and_push(
+    core: &PoolCore,
+    mut job: Job,
+    wait: &mut Wait<'_>,
+) -> Result<usize, (Responder, ShedReason)> {
+    let admission = &core.front_door.config;
     loop {
-        if state.closed || state.len() < capacity {
-            break;
-        }
-        match wait_deadline {
-            None => {
-                state = queue
-                    .space
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    timed_out = true;
-                    break;
-                }
-                (state, _) = queue
-                    .space
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-    state.space_waiters -= 1;
-    drop(state);
-    !timed_out
-}
-
-/// Everything the routing worker thread needs, cloned out of the pool at
-/// spawn time so the worker shares the pool's membership snapshot, router,
-/// counters and shutdown flag without borrowing the pool itself.
-struct RoutingCtx {
-    stage: Arc<RoutingStage>,
-    inner: Arc<RwLock<PoolInner>>,
-    router: Arc<RwLock<Option<Arc<SeerEngine>>>>,
-    progress: Arc<Progress>,
-    front_door: Arc<FrontDoor>,
-    routing: Arc<RoutingShared>,
-    closing: Arc<AtomicBool>,
-}
-
-/// The dedicated routing worker: pops admitted jobs off the stage, stamps
-/// each one's routing key (the submit path never hashed it), resolves
-/// device affinity through the shared router engine, and forwards to the
-/// home shard. Exits once the stage is closed *and* drained.
-fn routing_worker_loop(ctx: &RoutingCtx) {
-    while let Some(mut job) = ctx.stage.pop() {
-        // The one fingerprint computation of the request's lifetime
-        // (memoized on the matrix, carried on the job from here on).
-        job.fingerprint = job.request.matrix.sparsity_fingerprint();
-        forward(ctx, job);
-    }
-}
-
-/// Routes one staged job to its home shard, retrying across membership
-/// changes exactly like the inline admission loop. Never sheds on a full
-/// queue — the stage *is* the bounded front; the worker absorbs shard
-/// backpressure so balance stays exact. A closed shard queue means either
-/// a retire (re-route to survivors: the group was unpublished in the same
-/// critical section that closed its queues) or a shutdown (resolve the
-/// ticket typed, counted in [`RoutingPoolStats::stage_closed`]).
-fn forward(ctx: &RoutingCtx, mut job: Job) {
-    let capacity = ctx.front_door.queue_capacity();
-    let policy = ctx.front_door.shed_policy();
-    loop {
-        // Device affinity first, with no pool locks held (the router guard
-        // is released before selecting, like `ServingPool::router_handle`).
-        let router = ctx
-            .router
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let selection = router.map(|router| {
-            router.select_with_policy(
-                &job.request.matrix,
-                job.request.iterations,
-                job.request.policy,
-            )
-        });
-        let (attempt, shard_index, queue, counters) = {
-            let inner = ctx.inner.read().unwrap_or_else(PoisonError::into_inner);
-            let shard_index = route_in(&inner, job.fingerprint, selection.as_ref());
-            let shard = &inner.shards[shard_index];
-            (
-                push_job(shard, shard_index, job, capacity, policy),
-                shard_index,
-                Arc::clone(&shard.queue),
-                Arc::clone(&shard.counters),
-            )
+        let selection = core.placement(&job.request);
+        let (shard, attempt) = {
+            let inner = core.inner.read().unwrap_or_else(PoisonError::into_inner);
+            let shard = &inner.shards[route_in(&inner, job.fingerprint, selection.as_ref())];
+            (Arc::clone(shard), push_job(shard, job, admission))
         };
         match attempt {
-            PushAttempt::Queued => {
-                forwarded(ctx);
-                return;
-            }
-            PushAttempt::QueuedEvicting(victim) => {
-                resolve_evicted(
-                    shard_index,
-                    &counters,
-                    victim,
-                    &ctx.front_door,
-                    &ctx.progress,
-                );
-                forwarded(ctx);
-                return;
+            PushAttempt::Queued(victim) => {
+                if let Some(victim) = victim {
+                    // The victim was admitted (it counted as submitted), so
+                    // the eviction completes it, counted shed.
+                    victim.responder.resolve(Err(ServingError::Shed {
+                        reason: ShedReason::Evicted { shard: shard.index },
+                    }));
+                    shard.counters.shed.fetch_add(1, Ordering::SeqCst);
+                    finish_job(core, &shard.counters);
+                }
+                return Ok(shard.index);
             }
             PushAttempt::Full(returned) => {
                 job = returned;
-                // Block until the shard frees a slot or its queue closes;
-                // either way the loop re-routes and retries.
-                wait_for_space(&queue, capacity, None);
+                if !wait.block {
+                    return Err((job.responder, ShedReason::QueueFull { shard: shard.index }));
+                }
+                wait.note();
+                if !shard
+                    .queue
+                    .wait_for_space(admission.queue_capacity, wait.deadline)
+                {
+                    return Err((job.responder, ShedReason::BackpressureTimeout));
+                }
             }
             PushAttempt::Closed(returned) => {
                 job = returned;
-                if ctx.closing.load(Ordering::SeqCst) {
-                    // Shutdown: resolve typed so no in-stage ticket can
-                    // ever hang, release the accounting the admission
-                    // reserved, and wake any parked drain.
-                    let Job { responder, .. } = job;
-                    responder.resolve(Err(ServingError::PoolClosed));
-                    ctx.routing.stage_closed.fetch_add(1, Ordering::SeqCst);
-                    ctx.stage.in_stage.fetch_sub(1, Ordering::SeqCst);
-                    ctx.front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    notify_progress(&ctx.progress);
-                    return;
+                if core.closing.load(Ordering::SeqCst) {
+                    return Err((job.responder, ShedReason::PoolClosed));
                 }
-                // A retire closed this queue: the next routing pass lands
-                // on the surviving groups.
             }
         }
     }
 }
 
-/// The accounting tail of one successful stage forward. Ordering matters:
-/// the shard's `submitted` was already incremented inside `push_job`, so
-/// decrementing the stage gauge *after* it keeps the pool's pending count
-/// from transiently dropping to zero while the job changes hands.
-fn forwarded(ctx: &RoutingCtx) {
-    ctx.routing.routed_async.fetch_add(1, Ordering::SeqCst);
-    ctx.stage.in_stage.fetch_sub(1, Ordering::SeqCst);
+/// The dedicated routing worker: pops admitted jobs off the stage,
+/// fingerprints each one (the submit path never hashed it) and routes and
+/// pushes it like an inline submit. Exits once the stage is closed *and*
+/// drained.
+fn routing_worker_loop(core: &PoolCore) {
+    let Some(stage) = &core.stage else {
+        return;
+    };
+    // A staged job holds an issued ticket: the worker waits out a full shard
+    // queue instead of shedding, and does not count a submitter's wait.
+    let mut wait = Wait {
+        block: true,
+        deadline: None,
+        uncounted: None,
+    };
+    while let Some(mut job) = stage.pop() {
+        job.fingerprint = job.request.matrix.sparsity_fingerprint();
+        match route_and_push(core, job, &mut wait) {
+            Ok(_) => {
+                core.routing.routed_async.fetch_add(1, Ordering::SeqCst);
+            }
+            // Without a deadline only shutdown refuses: resolve the ticket
+            // typed and release the slot admission reserved.
+            Err((responder, _)) => {
+                responder.resolve(Err(ServingError::PoolClosed));
+                core.routing.stage_closed.fetch_add(1, Ordering::SeqCst);
+                core.front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        // After the shard's `submitted` bump inside the push, so the pool's
+        // pending count never dips while the job changes hands. The shard
+        // may have served the job already, making this the decrement that
+        // empties the pool: wake any parked drain.
+        stage.in_stage.fetch_sub(1, Ordering::SeqCst);
+        core.progress.notify();
+    }
 }
 
-/// Everything one shard worker thread needs, bundled at spawn time.
-struct WorkerContext {
-    shard: usize,
-    device: DeviceId,
-    engine: Arc<SeerEngine>,
-    queue: Arc<ShardQueue>,
-    counters: Arc<ShardCounters>,
-    progress: Arc<Progress>,
-    front_door: Arc<FrontDoor>,
-    latency: Arc<LatencyRecorder>,
-    routing: Arc<RoutingShared>,
-}
-
-/// One shard's serve loop: drain the queue until every sender is gone.
-///
+/// One shard's serve loop: pops runs until its queue is closed and drained.
 /// The worker owns one [`EngineWorkspace`] for its whole lifetime, so the
 /// execute hot path reuses the same output and scratch buffers across every
-/// request the shard ever serves.
-///
-/// With micro-batching enabled ([`RoutingConfig::max_batch`] > 1) each
-/// dequeue may return a *run* of batch-compatible jobs; a run of two or
-/// more is served through one plan activation ([`serve_run`]). A
-/// single-job dequeue takes exactly the classic path.
-///
-/// A panic inside [`serve`] is unwind-isolated per request: the worker
-/// records the failure, still counts the request completed (so drain and
-/// shutdown never hang on a poisoned request), and resolves the ticket to
-/// [`ServingError::WorkerDied`] — only that request observes the death,
-/// while the worker itself lives on to serve the rest of its queue.
-///
-/// A [`seer_gpu::DeviceFailed`] from the engine — the placement device died
-/// mid-execution — is retried exactly once: the failed device is non-live by
-/// then, so the retry's fresh selection lands on a surviving device. Both
-/// attempts are counted in [`ShardStats::device_failures`]; a request whose
-/// retry also dies resolves to [`ServingError::DeviceFailed`]. A request
-/// served successfully while this worker's pinned `device` is no longer
-/// live (drained backlog after a retire, or a retried placement) counts as
-/// [`ShardStats::migrated`].
-fn worker_loop(ctx: &WorkerContext) {
+/// request the shard serves.
+fn worker_loop(core: &PoolCore, shard: &Shard) {
     let mut workspace = EngineWorkspace::new();
-    let mut run: Vec<Job> = Vec::new();
-    while ctx.queue.pop_run(&mut run, ctx.routing.max_batch) {
-        if run.len() > 1 {
-            ctx.routing.batch_activations.fetch_add(1, Ordering::SeqCst);
-            ctx.routing
-                .batched_requests
-                .fetch_add(run.len() as u64, Ordering::SeqCst);
-            serve_run(ctx, &mut run, &mut workspace);
-            continue;
-        }
-        let Some(job) = run.pop() else {
-            continue;
-        };
-        let Job {
-            request,
-            responder,
-            admitted,
-            ..
-        } = job;
-        let lane = request.priority.lane();
-        ctx.latency.queue_wait[lane].record(admitted.elapsed());
-        // Deadline shed at dequeue: expired work is never executed, so an
-        // overloaded pool stops wasting capacity on answers nobody is
-        // still waiting for.
-        if deadline_expired(&request) {
-            responder.resolve(Err(ServingError::DeadlineExceeded { shard: ctx.shard }));
-            ctx.counters.expired.fetch_add(1, Ordering::SeqCst);
-            finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-            continue;
-        }
-        serve_job(ctx, &request, responder, admitted, lane, &mut workspace);
+    let mut run = Vec::new();
+    while shard.queue.pop_run(&mut run, core.routing.max_batch) {
+        serve_dequeued(core, shard, &mut run, &mut workspace);
     }
 }
 
@@ -3083,376 +2748,191 @@ fn deadline_expired(request: &ServingRequest) -> bool {
         .is_some_and(|deadline| Instant::now() >= deadline)
 }
 
-/// Serves one dequeued, not-expired job through the full per-request path:
-/// one unwind-isolated attempt, one bounded dead-device retry, resolution
-/// and completion accounting. Exactly the pre-batching worker body.
-fn serve_job(
-    ctx: &WorkerContext,
-    request: &ServingRequest,
-    responder: Responder,
-    admitted: Instant,
-    lane: usize,
+/// Resolves every job of one dequeued run of one or more batch-compatible
+/// jobs. Per member, in order:
+///
+/// * its queue wait is recorded and its deadline checked — an expired
+///   member is shed ([`ShardStats::expired`]), never executed;
+/// * the run's [`RunPlan`] is activated on the first live member, so the
+///   selection overhead lands on the member a sequential replay would bill;
+/// * the member runs against the plan, unwind-isolated: a panic fails only
+///   this member ([`ServingError::WorkerDied`], [`ShardStats::failed`]). A
+///   dead placement device drops the plan, counts the failure and retries
+///   the member once on a fresh activation — the dead device is no longer
+///   live, so it places on a survivor — which the rest of the run then
+///   shares. A retry that dies too resolves to
+///   [`ServingError::DeviceFailed`].
+///
+/// A member served while this shard's pinned device is no longer live
+/// (drained backlog after a retire, or a re-placed retry) counts as
+/// [`ShardStats::migrated`].
+fn serve_dequeued(
+    core: &PoolCore,
+    shard: &Shard,
+    run: &mut Vec<Job>,
     workspace: &mut EngineWorkspace,
 ) {
-    let resolution = match attempt(ctx.shard, &ctx.engine, request, workspace) {
-        Attempt::Served(response) => Ok(response),
-        Attempt::Panicked => {
-            ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-            Err(ServingError::WorkerDied { shard: ctx.shard })
-        }
-        Attempt::DeviceDied(_) => {
-            ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-            ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
-            // The dead device is no longer live, so the retry's fresh
-            // selection places the work on a surviving device. One
-            // retry, not a loop: a second dead device means the fleet
-            // is flapping faster than selections, and the caller
-            // should see that.
-            match attempt(ctx.shard, &ctx.engine, request, workspace) {
+    let counters = &shard.counters;
+    if run.len() > 1 {
+        core.routing
+            .batch_activations
+            .fetch_add(1, Ordering::SeqCst);
+        core.routing
+            .batched_requests
+            .fetch_add(run.len() as u64, Ordering::SeqCst);
+    }
+    let mut plan = None;
+    for job in run.drain(..) {
+        let lane = job.request.priority.lane();
+        core.latency.queue_wait[lane].record(job.queued.elapsed());
+        let outcome = if deadline_expired(&job.request) {
+            counters.expired.fetch_add(1, Ordering::SeqCst);
+            Err(ServingError::DeadlineExceeded { shard: shard.index })
+        } else {
+            let mut attempt = try_member(shard, &mut plan, &job.request, workspace);
+            if let Attempt::DeviceDied(_) = attempt {
+                // One retry, not a loop: a second dead device means the
+                // fleet is flapping faster than selections, and the caller
+                // should see that.
+                counters.device_failures.fetch_add(1, Ordering::SeqCst);
+                counters.retried.fetch_add(1, Ordering::SeqCst);
+                plan = None;
+                attempt = try_member(shard, &mut plan, &job.request, workspace);
+            }
+            match attempt {
                 Attempt::Served(response) => Ok(response),
                 Attempt::Panicked => {
-                    ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                    Err(ServingError::WorkerDied { shard: ctx.shard })
+                    counters.failed.fetch_add(1, Ordering::SeqCst);
+                    Err(ServingError::WorkerDied { shard: shard.index })
                 }
                 Attempt::DeviceDied(death) => {
-                    ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
+                    counters.device_failures.fetch_add(1, Ordering::SeqCst);
+                    plan = None;
                     Err(ServingError::DeviceFailed {
                         device: death.device,
                     })
                 }
             }
+        };
+        let served = outcome.is_ok();
+        let migrated = served && !shard.engine.fleet().is_live(shard.device);
+        // Resolve the ticket before counting the job completed: a drain
+        // woken by the completion must find the outcome in place.
+        job.responder.resolve(outcome);
+        if served {
+            counters.served.fetch_add(1, Ordering::SeqCst);
+            let admitted = job.staged.unwrap_or(job.queued);
+            core.latency.end_to_end[lane].record(admitted.elapsed());
         }
-    };
-    let migrated = resolution.is_ok() && !ctx.engine.fleet().is_live(ctx.device);
-    let served = resolution.is_ok();
-    // Resolve the ticket before counting the request completed: a
-    // drain woken by this completion must find the outcome in place.
-    responder.resolve(resolution);
-    if served {
-        ctx.counters.served.fetch_add(1, Ordering::SeqCst);
-        ctx.latency.end_to_end[lane].record(admitted.elapsed());
+        if migrated {
+            counters.migrated.fetch_add(1, Ordering::SeqCst);
+        }
+        finish_job(core, counters);
     }
-    if migrated {
-        ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
-    }
-    finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
 }
 
-/// The one shared resolution of a coalesced run: a select-only run reuses
-/// one selection, an execute run replays one pinned plan activation.
+/// The completion tail of every resolved job (served, failed, expired or
+/// evicted): count it completed, release its in-flight slot, and wake any
+/// parked drain or capacity waiter. The ticket is already resolved by this
+/// point, so a woken waiter finds the outcome in place.
+fn finish_job(core: &PoolCore, counters: &ShardCounters) {
+    counters.completed.fetch_add(1, Ordering::SeqCst);
+    core.front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
+    core.progress.notify();
+}
+
+/// The plan a run's members share, activated on its first live member: the
+/// selection for select-only and gate work, or the pinned execution plan
+/// with whether its first execution — the one billed the activation's
+/// selection overhead — is still to come.
 enum RunPlan {
     Select(Selection),
-    Execute(PlanActivation),
+    Execute {
+        activation: PlanActivation,
+        first: bool,
+    },
 }
 
-/// Resolves the shared plan for a run's first non-expired job: one
-/// selection resolve (and, for execute runs, one plan-cache walk + pin)
-/// for the whole run. `None` on a panic or a dead placement device — the
-/// caller then serves every remaining job through the full per-request
-/// path, which owns the retry semantics.
-fn activate_run(ctx: &WorkerContext, request: &ServingRequest) -> Option<RunPlan> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &request.workload {
-        Workload::SelectOnly => Ok(RunPlan::Select(ctx.engine.select_with_policy(
-            &request.matrix,
-            request.iterations,
-            request.policy,
-        ))),
-        Workload::Execute { .. } => ctx
-            .engine
-            .activate_plan(&request.matrix, request.iterations, request.policy)
-            .map(RunPlan::Execute),
-        Workload::PanicInjection | Workload::Gate { .. } => {
-            unreachable!("chaos workloads are never coalesced into runs")
-        }
-    }));
-    match outcome {
-        Ok(Ok(plan)) => Some(plan),
-        Ok(Err(_)) | Err(_) => None,
-    }
-}
-
-/// One unwind-isolated execution of a run job against the shared
-/// activation. `first` bills the activation's charged selection overhead
-/// to exactly one executed request — the same bill a sequential replay
-/// puts on its first cache miss.
-fn activated_attempt(
-    ctx: &WorkerContext,
-    activation: &PlanActivation,
-    request: &ServingRequest,
-    first: bool,
-    workspace: &mut EngineWorkspace,
-) -> Attempt {
-    let Workload::Execute { x } = &request.workload else {
-        unreachable!("execute runs only contain execute workloads")
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        ctx.engine.try_execute_activated_into(
-            activation,
-            &request.matrix,
-            x,
-            request.iterations,
-            first,
-            workspace,
-        )
-    }));
-    match outcome {
-        Ok(Ok((selection, total_time))) => Attempt::Served(ServingResponse {
-            selection,
-            result: Some(workspace.result().to_vec()),
-            total_time: Some(total_time),
-            shard: ctx.shard,
-        }),
-        Ok(Err(death)) => Attempt::DeviceDied(death),
-        Err(_) => Attempt::Panicked,
-    }
-}
-
-/// Resolves one run job as served and settles its accounting.
-fn resolve_served(
-    ctx: &WorkerContext,
-    lane: usize,
-    admitted: Instant,
-    responder: Responder,
-    response: ServingResponse,
-) {
-    let migrated = !ctx.engine.fleet().is_live(ctx.device);
-    responder.resolve(Ok(response));
-    ctx.counters.served.fetch_add(1, Ordering::SeqCst);
-    ctx.latency.end_to_end[lane].record(admitted.elapsed());
-    if migrated {
-        ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
-    }
-    finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-}
-
-/// Serves a coalesced run of two or more batch-compatible jobs through one
-/// plan activation.
-///
-/// Invariants, in order of application per job:
-///
-/// * queue-wait is recorded and the deadline checked for *every* job —
-///   an expired batchmate is still shed at dequeue (counted
-///   [`ShardStats::expired`]), never executed, exactly like the single-job
-///   path;
-/// * the shared [`RunPlan`] is resolved lazily on the first non-expired
-///   job, so selection overhead is billed to the same request a sequential
-///   replay would bill (if the first job expired, the next executed one
-///   carries the miss);
-/// * an activation failure or a mid-run dead device drops the rest of the
-///   run back onto the full per-request path ([`serve_job`]), which owns
-///   the bounded retry — a batch never weakens the failure semantics.
-fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWorkspace) {
-    let mut plan: Option<RunPlan> = None;
-    // Once true, every remaining job goes through the full per-request
-    // path (activation failed, or the shared device died mid-run).
-    let mut fallback = false;
-    // Whether the next activated execution is the run's first — the one
-    // billed the activation's charged selection overhead.
-    let mut first = true;
-    for job in run.drain(..) {
-        let Job {
-            request,
-            responder,
-            admitted,
-            ..
-        } = job;
-        let lane = request.priority.lane();
-        ctx.latency.queue_wait[lane].record(admitted.elapsed());
-        if deadline_expired(&request) {
-            responder.resolve(Err(ServingError::DeadlineExceeded { shard: ctx.shard }));
-            ctx.counters.expired.fetch_add(1, Ordering::SeqCst);
-            finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-            continue;
-        }
-        if !fallback && plan.is_none() {
-            plan = activate_run(ctx, &request);
-            fallback = plan.is_none();
-        }
-        let shared = if fallback { None } else { plan.as_ref() };
-        let Some(shared) = shared else {
-            serve_job(ctx, &request, responder, admitted, lane, workspace);
-            continue;
-        };
-        match shared {
-            RunPlan::Select(selection) => {
-                resolve_served(
-                    ctx,
-                    lane,
-                    admitted,
-                    responder,
-                    ServingResponse {
-                        selection: *selection,
-                        result: None,
-                        total_time: None,
-                        shard: ctx.shard,
-                    },
-                );
-            }
-            RunPlan::Execute(activation) => {
-                match activated_attempt(ctx, activation, &request, first, workspace) {
-                    Attempt::Served(response) => {
-                        first = false;
-                        resolve_served(ctx, lane, admitted, responder, response);
-                    }
-                    Attempt::Panicked => {
-                        first = false;
-                        ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                        responder.resolve(Err(ServingError::WorkerDied { shard: ctx.shard }));
-                        finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                    }
-                    Attempt::DeviceDied(_) => {
-                        // The pinned placement is dead: give this job the
-                        // standard bounded retry and drop the rest of the
-                        // run back onto the full path.
-                        first = false;
-                        fallback = true;
-                        ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-                        ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
-                        match attempt(ctx.shard, &ctx.engine, &request, workspace) {
-                            Attempt::Served(response) => {
-                                resolve_served(ctx, lane, admitted, responder, response);
-                            }
-                            Attempt::Panicked => {
-                                ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                                responder
-                                    .resolve(Err(ServingError::WorkerDied { shard: ctx.shard }));
-                                finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                            }
-                            Attempt::DeviceDied(death) => {
-                                ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-                                responder.resolve(Err(ServingError::DeviceFailed {
-                                    device: death.device,
-                                }));
-                                finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The completion tail shared by every dequeued job (served, failed or
-/// expired): count it completed, release its in-flight slot, and wake any
-/// parked drain or backpressured submitter. The ticket is already resolved
-/// by this point, so a woken waiter finds the outcome in place.
-fn finish_job(counters: &ShardCounters, progress: &Progress, front_door: &FrontDoor) {
-    counters.completed.fetch_add(1, Ordering::SeqCst);
-    front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
-    notify_progress(progress);
-}
-
-/// Wakes any parked drain or capacity waiter. Taking the lock before
-/// notifying pairs with `drain` (and the in-flight backpressure wait)
-/// holding it across their checks, so no wakeup is ever missed.
-fn notify_progress(progress: &Progress) {
-    if progress.waiters.load(Ordering::SeqCst) > 0 {
-        let _guard = progress.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        progress.served.notify_all();
-    }
-}
-
-/// Resolves an evicted job's ticket and settles its accounting: the
-/// victim was admitted (it counted as submitted), so the eviction
-/// counts it completed + shed on its shard and frees its in-flight
-/// slot. Shared by the inline admission path and the routing worker.
-fn resolve_evicted(
-    shard_index: usize,
-    counters: &ShardCounters,
-    victim: Job,
-    front_door: &FrontDoor,
-    progress: &Progress,
-) {
-    let Job { responder, .. } = victim;
-    responder.resolve(Err(ServingError::Shed {
-        reason: ShedReason::Evicted { shard: shard_index },
-    }));
-    counters.shed.fetch_add(1, Ordering::SeqCst);
-    counters.completed.fetch_add(1, Ordering::SeqCst);
-    front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
-    notify_progress(progress);
-}
-
-/// One unwind-isolated serve attempt.
+/// One unwind-isolated attempt at one run member.
 enum Attempt {
     Served(ServingResponse),
-    DeviceDied(seer_gpu::DeviceFailed),
+    DeviceDied(DeviceFailed),
     Panicked,
 }
 
-fn attempt(
-    shard: usize,
-    engine: &SeerEngine,
+/// Serves one member from the run's plan, activating the plan first if the
+/// run has none (its first live member, or a retry after a dead device
+/// dropped it). Execute members replay the activation through
+/// [`SeerEngine::try_execute_activated_into`], so a device that died before
+/// or during the kernel surfaces typed.
+fn try_member(
+    shard: &Shard,
+    plan: &mut Option<RunPlan>,
     request: &ServingRequest,
     workspace: &mut EngineWorkspace,
 ) -> Attempt {
-    match catch_unwind(AssertUnwindSafe(|| {
-        serve(shard, engine, request, workspace)
-    })) {
+    let engine = &shard.engine;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let plan = match plan {
+            Some(plan) => plan,
+            None => plan.insert(activate(engine, request)?),
+        };
+        let (selection, result, total_time) = match (plan, &request.workload) {
+            (RunPlan::Select(selection), _) => (*selection, None, None),
+            (RunPlan::Execute { activation, first }, Workload::Execute { x }) => {
+                let (selection, total_time) = engine.try_execute_activated_into(
+                    activation,
+                    &request.matrix,
+                    x,
+                    request.iterations,
+                    std::mem::take(first),
+                    workspace,
+                )?;
+                (
+                    selection,
+                    Some(workspace.result().to_vec()),
+                    Some(total_time),
+                )
+            }
+            (RunPlan::Execute { .. }, _) => unreachable!("execute plans serve execute runs only"),
+        };
+        Ok(ServingResponse {
+            selection,
+            result,
+            total_time,
+            shard: shard.index,
+        })
+    }));
+    match outcome {
         Ok(Ok(response)) => Attempt::Served(response),
         Ok(Err(death)) => Attempt::DeviceDied(death),
         Err(_) => Attempt::Panicked,
     }
 }
 
-/// Serves one request on the shard's engine, reusing the shard's workspace
-/// for execute workloads (the only allocation left on a warm path is the
-/// response's owned copy of the product). Execute workloads run through the
-/// shard engine's prepared-plan fast path, so a warm shard never re-derives
-/// a kernel's preprocessing structures.
-fn serve(
-    shard: usize,
-    engine: &SeerEngine,
-    request: &ServingRequest,
-    workspace: &mut EngineWorkspace,
-) -> Result<ServingResponse, seer_gpu::DeviceFailed> {
+/// Activates the plan a run shares from one of its members: one
+/// [`SeerEngine::activate_plan`] (selection resolve plus plan pin) for
+/// execute work, one selection otherwise.
+fn activate(engine: &SeerEngine, request: &ServingRequest) -> Result<RunPlan, DeviceFailed> {
+    let (matrix, iterations, policy) = (&request.matrix, request.iterations, request.policy);
     match &request.workload {
-        Workload::SelectOnly => Ok(ServingResponse {
-            selection: engine.select_with_policy(
-                &request.matrix,
-                request.iterations,
-                request.policy,
-            ),
-            result: None,
-            total_time: None,
-            shard,
-        }),
-        Workload::Execute { x } => {
-            let (selection, total_time) = engine.try_execute_with_policy_into(
-                &request.matrix,
-                x,
-                request.iterations,
-                request.policy,
-                workspace,
-            )?;
-            Ok(ServingResponse {
-                selection,
-                result: Some(workspace.result().to_vec()),
-                total_time: Some(total_time),
-                shard,
+        Workload::Execute { .. } => {
+            return Ok(RunPlan::Execute {
+                activation: engine.activate_plan(matrix, iterations, policy)?,
+                first: true,
             })
         }
         Workload::PanicInjection => panic!("injected worker panic"),
         Workload::Gate { gate } => {
             let (lock, opened) = &**gate;
-            let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*open {
-                open = opened.wait(open).unwrap_or_else(PoisonError::into_inner);
-            }
-            drop(open);
-            Ok(ServingResponse {
-                selection: engine.select_with_policy(
-                    &request.matrix,
-                    request.iterations,
-                    request.policy,
-                ),
-                result: None,
-                total_time: None,
-                shard,
-            })
+            let open = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            drop(wait_for(opened, open, None, |open| open.then_some(())));
         }
+        Workload::SelectOnly => {}
     }
+    Ok(RunPlan::Select(
+        engine.select_with_policy(matrix, iterations, policy),
+    ))
 }
 
 #[cfg(test)]
@@ -4089,6 +3569,7 @@ mod tests {
         assert_eq!(stats.device_failures(), 2, "first attempt + one retry");
         assert_eq!(stats.retried(), 1);
         assert_eq!(stats.migrations(), 0, "nothing was served elsewhere");
+        assert_balanced(&stats);
 
         // Selection-only requests survive a failed device: selection is
         // advisory and executes nothing.
@@ -4108,6 +3589,7 @@ mod tests {
         assert_eq!(stats.completed(), 3);
         assert_eq!(stats.device_failures(), 2);
         assert!(stats.retry_rate() > 0.0 && stats.retry_rate() <= 1.0);
+        assert_balanced(&stats);
     }
 
     #[test]
@@ -5044,5 +4526,123 @@ mod tests {
         assert_eq!(stats.mean_batch_size(), 4.0);
         stats.batch_activations = 0;
         assert_eq!(stats.mean_batch_size(), 0.0);
+    }
+
+    /// The exact per-shard balance. With one bounded retry per request, a
+    /// request whose retry is exhausted resolves to `DeviceFailed` and lands
+    /// in none of served/failed/expired/shed: it is the `device_failures -
+    /// retried` term.
+    fn assert_balanced(stats: &PoolStats) {
+        for s in &stats.shards {
+            assert_eq!(
+                s.served + s.failed + s.expired + s.shed + (s.device_failures - s.retried),
+                s.completed,
+                "shard {} is out of balance: {s:?}",
+                s.shard
+            );
+        }
+    }
+
+    #[test]
+    fn routed_end_to_end_includes_the_wait_in_the_routing_stage() {
+        // End-to-end runs from the ticket's acceptance (the stage push on a
+        // routed pool) to resolution; queue wait starts at the shard push.
+        let (pool, corpus) =
+            routed_pool(RoutingConfig::default(), Some(AdmissionConfig::bounded(1)));
+        let matrix = Arc::clone(&corpus[0]);
+        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
+        let pinned = pool.submit(pin_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        // One job fills the bounded shard queue; the next one is held in
+        // the stage while the routing worker waits for space.
+        let queued = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
+        wait_for_forwards(&pool, 2);
+        let staged = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(pool.stats().routing.in_stage, 1);
+        open(&pin);
+        for ticket in [pinned, queued, staged] {
+            assert!(ticket.wait().is_ok());
+        }
+        pool.drain();
+        let stats = pool.shutdown();
+        // Buckets from 2^26 ns (~67 ms) up hold the samples that lived
+        // through the 150 ms hold.
+        let slow =
+            |histogram: &HistogramSnapshot| histogram.bucket_counts()[26..].iter().sum::<u64>();
+        assert_eq!(
+            slow(stats.latency.end_to_end(Priority::Interactive)),
+            3,
+            "the gate job, the queued job and the staged job all waited"
+        );
+        assert_eq!(
+            slow(stats.latency.queue_wait(Priority::Interactive)),
+            1,
+            "only the queued job waited in the shard queue"
+        );
+    }
+
+    #[test]
+    fn coalesced_run_on_a_dead_device_retries_each_member_once_then_heals() {
+        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let matrix = Arc::clone(&corpus[0]);
+        let x = Arc::new(vec![1.0; matrix.cols()]);
+        let device = DeviceId::DEFAULT;
+        let burst = 5u64;
+        // Queues one burst of identical execute requests behind a gate job
+        // (`earlier` jobs went through the pool before), runs `before_open`
+        // and then lets the burst run as one coalesced run.
+        let serve_burst = |earlier: u64, before_open: &dyn Fn()| {
+            let (pin_request, pin) = gate_request(Arc::clone(&matrix));
+            let pinned = pool.submit(pin_request);
+            wait_for_dequeues(&pool, Priority::Interactive, earlier + 1);
+            let tickets: Vec<Ticket> = (0..burst)
+                .map(|_| {
+                    pool.submit(ServingRequest::execute(
+                        Arc::clone(&matrix),
+                        Arc::clone(&x),
+                        5,
+                    ))
+                })
+                .collect();
+            wait_for_forwards(&pool, earlier + burst + 1);
+            before_open();
+            open(&pin);
+            assert!(pinned.wait().is_ok());
+            let outcomes: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+            pool.drain();
+            outcomes
+        };
+
+        let outcomes = serve_burst(0, &|| pool.fleet().fail_device(device).unwrap());
+        assert!(
+            outcomes
+                .iter()
+                .all(|outcome| *outcome == Err(ServingError::DeviceFailed { device })),
+            "{outcomes:?}"
+        );
+        let stats = pool.stats();
+        assert_eq!(
+            stats.device_failures(),
+            2 * burst,
+            "first attempt + one retry each"
+        );
+        assert_eq!(stats.retried(), burst);
+        assert_eq!(stats.failed(), 0, "a dead device is not a worker panic");
+        assert_eq!(stats.routing.batch_activations, 1);
+        assert_eq!(stats.routing.batched_requests, burst);
+        assert_balanced(&stats);
+
+        pool.fleet().heal_device(device).unwrap();
+        let outcomes = serve_burst(1 + burst, &|| {});
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        let stats = pool.shutdown();
+        assert_eq!(
+            stats.routing.batch_activations, 2,
+            "the healed burst shares one more activation"
+        );
+        assert_eq!(stats.routing.batched_requests, 2 * burst);
+        assert_eq!(stats.device_failures(), 2 * burst);
+        assert_balanced(&stats);
     }
 }
