@@ -1317,33 +1317,26 @@ fn main() {
     );
     let speedup = pooled_rps / sequential_rps;
     println!("  speedup              {speedup:>10.2}x");
-    println!("\nper-shard: (device / submitted / completed / hits / misses / cached plans)");
+    println!("\nper-shard: (device / submitted / completed)");
     for shard in &stats.shards {
         println!(
-            "  shard {}: {} / {:>6} / {:>6} / {:>6} / {:>6} / {:>4}",
-            shard.shard,
-            shard.device,
-            shard.submitted,
-            shard.completed,
-            shard.engine.plan_hits,
-            shard.engine.plan_misses,
-            shard.cached_plans
+            "  shard {}: {} / {:>6} / {:>6}",
+            shard.shard, shard.device, shard.submitted, shard.completed,
         );
     }
     let lanes = stats.devices();
-    if fleet.is_some() {
-        println!("\nper-device: (shards / submitted / completed / queue / preparations)");
-        for lane in &lanes {
-            println!(
-                "  {}: {} / {:>6} / {:>6} / {:>3} / {:>5}",
-                lane.device,
-                lane.shards,
-                lane.submitted,
-                lane.completed,
-                lane.queue_depth(),
-                lane.engine.plan_preparations
-            );
-        }
+    println!("\nper-device: (shards / submitted / completed / hits / misses / preparations)");
+    for lane in &lanes {
+        println!(
+            "  {}: {} / {:>6} / {:>6} / {:>6} / {:>6} / {:>5}",
+            lane.device,
+            lane.shards,
+            lane.submitted,
+            lane.completed,
+            lane.engine.plan_hits,
+            lane.engine.plan_misses,
+            lane.engine.plan_preparations
+        );
     }
     println!(
         "\ntotals: {} submitted, {} completed, queue depth {}, {} feature collections, {} fallbacks",
@@ -1362,6 +1355,17 @@ fn main() {
         aggregated.selections(),
         stream.len() as u64,
         "every request makes exactly one selection"
+    );
+    // Each distinct plan key misses once pool-wide — summed over every
+    // engine the pool owns — however many workers serve it.
+    let plan_keys: std::collections::HashSet<(u64, usize)> = stream
+        .iter()
+        .map(|r| (corpus[r.matrix_index].sparsity_fingerprint(), r.iterations))
+        .collect();
+    assert_eq!(
+        stats.router.unwrap_or_default().plan_misses + aggregated.plan_misses,
+        plan_keys.len() as u64,
+        "each distinct (fingerprint, iterations, policy) key misses exactly once pool-wide"
     );
     // Per-device lanes partition the pool exactly.
     assert_eq!(

@@ -84,6 +84,7 @@
 //! # }
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -225,11 +226,10 @@ impl RecalibrationConfig {
 }
 
 /// The online recalibration state: one EWMA correction factor per
-/// `(device, kernel)` pair plus the exploration RNG stream. Shared (via
-/// `Arc`) between a serving pool's shard engines and its router, so every
-/// shard's observations steer the pool-wide placement.
+/// `(device, kernel)` pair plus the exploration RNG stream. Held behind an
+/// `Arc`, so a ranking reads it without holding the engine's handle lock.
 #[derive(Debug)]
-pub(crate) struct Recalibration {
+struct Recalibration {
     config: RecalibrationConfig,
     /// Correction factors as `f64` bit patterns, slot
     /// `device.index() * |kernels| + kernel.class_index()`; all start at 1.0.
@@ -247,7 +247,7 @@ impl Recalibration {
     /// Label splitting the exploration stream off the configured seed.
     const RNG_STREAM: u64 = 0xEC41_1B84_7E00_5EE7;
 
-    pub(crate) fn new(config: RecalibrationConfig, devices: usize) -> Self {
+    fn new(config: RecalibrationConfig, devices: usize) -> Self {
         config.validate();
         let seed = config.exploration.map_or(0, |e| e.seed);
         Self {
@@ -334,7 +334,7 @@ impl Recalibration {
     /// Drops one departed device's learned factors back to 1.0 so a retired
     /// (or failed-and-healed) device's history is never leaked into a future
     /// occupant of the ranking — the factors are forgotten, not parked.
-    pub(crate) fn reset_device(&self, device: DeviceId) {
+    fn reset_device(&self, device: DeviceId) {
         let factors = self.factors.read().unwrap_or_else(PoisonError::into_inner);
         for kernel in KernelId::ALL {
             if let Some(slot) = factors.get(Self::slot(device, kernel)) {
@@ -381,8 +381,9 @@ struct RankedDevice {
 /// Snapshot of the engine's cache and fallback counters.
 ///
 /// Snapshots are plain counter tuples; combine them with
-/// [`EngineStats::saturating_add`] (aggregating shards) and diff them with
-/// [`EngineStats::saturating_sub`] (progress since an earlier snapshot).
+/// [`EngineStats::saturating_add`] (aggregating engines or devices) and
+/// diff them with [`EngineStats::saturating_sub`] (progress since an
+/// earlier snapshot).
 /// Both are saturating so stats arithmetic can never wrap, even when a
 /// snapshot straddles a [`SeerEngine::clear_caches`] counter reset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -467,7 +468,8 @@ impl EngineStats {
         }
     }
 
-    /// Component-wise saturating sum, for aggregating per-shard snapshots.
+    /// Component-wise saturating sum, for aggregating snapshots of several
+    /// engines or devices.
     pub fn saturating_add(self, other: EngineStats) -> EngineStats {
         EngineStats {
             plan_hits: self.plan_hits.saturating_add(other.plan_hits),
@@ -500,9 +502,8 @@ impl EngineStats {
             explored_selections: self
                 .explored_selections
                 .saturating_add(other.explored_selections),
-            // A gauge: the aggregate's worst drift is the max over shards
-            // (shards of one pool share the correction table anyway), not a
-            // sum that would scale with shard count.
+            // A gauge: the aggregate's worst drift is the max over the
+            // summed snapshots, not a sum that would scale with their count.
             correction_drift_millilog: self
                 .correction_drift_millilog
                 .max(other.correction_drift_millilog),
@@ -917,9 +918,7 @@ pub struct SeerEngine {
     class_reuse: AtomicBool,
     /// Online recalibration state (see [`SeerEngine::set_recalibration`]):
     /// `None` (the default) means observed timings are discarded and every
-    /// ranking runs on the raw models — the bit-identical legacy path. The
-    /// handle is shared when this engine is a serving-pool shard, so every
-    /// shard's observations steer the pool-wide corrections.
+    /// ranking runs on the raw models — the bit-identical legacy path.
     recalibration: RwLock<Option<Arc<Recalibration>>>,
     /// Device-attributable counter breakdowns, indexed by [`DeviceId`].
     /// Behind an `RwLock` so the table grows when a device joins the fleet
@@ -1097,7 +1096,7 @@ impl SeerEngine {
     }
 
     /// A shared handle to the models, for callers building sibling engines
-    /// (e.g. the shards of a [`crate::serving::ServingPool`]).
+    /// (e.g. a [`crate::serving::ServingPool`] over the same models).
     pub fn models_handle(&self) -> Arc<SeerModels> {
         Arc::clone(&self.models)
     }
@@ -1486,18 +1485,8 @@ impl SeerEngine {
             .map_or(1.0, |recal| recal.factor(device, kernel))
     }
 
-    /// Installs an already-built (possibly shared) recalibration handle —
-    /// how a serving pool points every shard engine and its router at one
-    /// correction table.
-    pub(crate) fn install_recalibration(&self, recal: Arc<Recalibration>) {
-        *self
-            .recalibration
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(recal);
-    }
-
     /// The engine's recalibration handle, if enabled.
-    pub(crate) fn recalibration_handle(&self) -> Option<Arc<Recalibration>> {
+    fn recalibration_handle(&self) -> Option<Arc<Recalibration>> {
         self.recalibration
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1551,7 +1540,14 @@ impl SeerEngine {
     /// with a matrix therefore pays one O(nnz) hash pass even on the
     /// known-features-only path; [`CsrMatrix::sparsity_fingerprint`]
     /// memoizes it, so the pass runs once per matrix value, not per call.
-    fn select_with_policy_charged(
+    ///
+    /// Concurrent first contacts with one plan key all decide, but only the
+    /// first to install its plan counts the miss and is billed; the others
+    /// adopt the installed plan as hits billed zero, as
+    /// [`SeerEngine::prepared_plan_on`] does for prepared plans. A serving
+    /// pool calls this once per request at routing, so the request's bill
+    /// does not depend on which worker later executes it.
+    pub(crate) fn select_with_policy_charged(
         &self,
         matrix: &CsrMatrix,
         iterations: usize,
@@ -1563,21 +1559,15 @@ impl SeerEngine {
             iterations,
             policy,
         };
-        if let Some(plan) = self
+        let cached = self
             .plans
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
-            .copied()
-        {
-            let served = self.serve_cached(plan, matrix, fingerprint, iterations);
-            self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            self.device_counter(served.device)
-                .plan_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return (served, SimTime::ZERO);
+            .copied();
+        if let Some(plan) = cached {
+            return (self.serve_hit(plan, matrix, key), SimTime::ZERO);
         }
-        self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
 
         let class_key = ClassKey {
             signature: matrix.structure_signature(),
@@ -1611,15 +1601,7 @@ impl SeerEngine {
                     feature_collection_cost: SimTime::ZERO,
                     inference_overhead: SimTime::ZERO,
                 };
-                self.device_counter(selection.device)
-                    .plan_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                self.plans
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, selection);
-                self.enforce_fingerprint_budget();
-                return (selection, SimTime::ZERO);
+                return self.install_plan(key, selection, SimTime::ZERO, matrix);
             }
         }
 
@@ -1649,22 +1631,56 @@ impl SeerEngine {
                 .class_evictions
                 .fetch_add(evicted, Ordering::Relaxed);
         }
-        self.device_counter(selection.device)
-            .plan_misses
-            .fetch_add(1, Ordering::Relaxed);
-        self.plans
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, selection);
-        // A miss may have introduced a new distinct matrix; keep the
-        // per-fingerprint footprint within its budget.
-        self.enforce_fingerprint_budget();
         let charged = if collection_ran {
             selection.overhead()
         } else {
             selection.inference_overhead
         };
+        self.install_plan(key, selection, charged, matrix)
+    }
+
+    /// Installs a freshly decided plan and counts the miss, billed
+    /// `charged` — unless a concurrent first contact installed the key
+    /// first, in which case this call adopts that plan as a hit billed zero.
+    fn install_plan(
+        &self,
+        key: PlanKey,
+        selection: Selection,
+        charged: SimTime,
+        matrix: &CsrMatrix,
+    ) -> (Selection, SimTime) {
+        let adopted = {
+            let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
+            match plans.entry(key) {
+                Entry::Occupied(entry) => Some(*entry.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(selection);
+                    None
+                }
+            }
+        };
+        if let Some(plan) = adopted {
+            return (self.serve_hit(plan, matrix, key), SimTime::ZERO);
+        }
+        self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
+        self.device_counter(selection.device)
+            .plan_misses
+            .fetch_add(1, Ordering::Relaxed);
+        // A miss may have introduced a new distinct matrix; keep the
+        // per-fingerprint footprint within its budget.
+        self.enforce_fingerprint_budget();
         (selection, charged)
+    }
+
+    /// Serves one cached plan ([`SeerEngine::serve_cached`]) and counts the
+    /// hit against the device it placed on.
+    fn serve_hit(&self, plan: Selection, matrix: &CsrMatrix, key: PlanKey) -> Selection {
+        let served = self.serve_cached(plan, matrix, key.fingerprint, key.iterations);
+        self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
+        self.device_counter(served.device)
+            .plan_hits
+            .fetch_add(1, Ordering::Relaxed);
+        served
     }
 
     /// Serves one plan-cache hit. With recalibration off — or on a
@@ -1886,6 +1902,19 @@ impl SeerEngine {
     ) -> Result<PlanActivation, DeviceFailed> {
         let (selection, charged_overhead) =
             self.select_with_policy_charged(matrix, iterations, policy);
+        self.activate_selected(matrix, selection, charged_overhead)
+    }
+
+    /// The plan-pinning half of [`SeerEngine::activate_plan`], for a
+    /// selection already resolved: a serving pool selects and bills each
+    /// request at routing and pins the plan when a worker dequeues it.
+    /// `charged_overhead` is billed to the activation's first execution.
+    pub(crate) fn activate_selected(
+        &self,
+        matrix: &CsrMatrix,
+        selection: Selection,
+        charged_overhead: SimTime,
+    ) -> Result<PlanActivation, DeviceFailed> {
         self.fleet.ensure_live(selection.device)?;
         let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
         Ok(PlanActivation {
@@ -2984,9 +3013,9 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!(stats.plan_hits + stats.plan_misses, 2 * per_thread);
-        // Both threads raced on the same key: at most one miss per thread,
-        // at least one plan computed.
-        assert!(stats.plan_misses >= 1 && stats.plan_misses <= 2);
+        // Both threads may race on first contact with the key, but only the
+        // first to install the plan counts the miss; the other adopts it.
+        assert_eq!(stats.plan_misses, 1);
         assert_eq!(engine.cached_plans(), 1);
     }
 

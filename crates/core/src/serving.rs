@@ -1,25 +1,23 @@
-//! Sharded concurrent serving on top of [`SeerEngine`].
+//! Sharded concurrent serving on top of one [`SeerEngine`].
 //!
-//! A single [`SeerEngine`] is `Send + Sync`, but every caller contends on the
-//! same two `RwLock`-guarded caches, and under heavy mixed traffic the write
-//! side (plan insertion, feature collection) serializes everything. The
-//! [`ServingPool`] scales the service out instead of up:
+//! A single [`SeerEngine`] is `Send + Sync` and caches every plan it
+//! computes. The [`ServingPool`] runs many worker threads over one such
+//! engine:
 //!
-//! * it owns `N` **shards**, each a private [`SeerEngine`] (own plan/feature
-//!   caches, own counters) sharing one device model and one set of trained
-//!   models, plus one `std::thread` worker draining a queue;
-//! * requests are routed by
-//!   [`sparsity_fingerprint`](seer_sparse::CsrMatrix::sparsity_fingerprint)` %
-//!   N` — the same key the engine caches under — so every distinct sparsity
-//!   pattern has exactly one home shard. Repeat traffic on a matrix always
-//!   lands on the shard that already cached its plan, *including* replays
-//!   after a value-only [`update_values`](seer_sparse::CsrMatrix::update_values)
-//!   mutation (values don't move a matrix off its home shard) — cache
-//!   locality survives concurrency, and no selection plan (nor prepared
-//!   execution plan: each shard's warm execute replays the cached
-//!   `(matrix, kernel)` [`seer_kernels::PreparedPlan`] instead of re-deriving
-//!   partition tables or padded layouts) is ever computed twice across shards
-//!   for the same key;
+//! * it owns `N` **shards**, each one `std::thread` worker draining its own
+//!   queue, and one [`SeerEngine`] that the pool builds once. Every request
+//!   is selected on that engine when it is routed, and every worker executes
+//!   that engine's prepared plans. So no selection plan (nor prepared
+//!   execution plan: a warm execute replays the cached `(matrix, kernel)`
+//!   [`seer_kernels::PreparedPlan`] instead of re-deriving partition tables
+//!   or padded layouts) is ever computed twice for the same key, whichever
+//!   worker serves the request;
+//! * a request goes to the shard with the fewest pending requests. Ties go
+//!   to the home shard
+//!   [`sparsity_fingerprint`](seer_sparse::CsrMatrix::sparsity_fingerprint)`
+//!   % N`, so an idle pool keeps a matrix — including its replays after a
+//!   value-only [`update_values`](seer_sparse::CsrMatrix::update_values)
+//!   mutation — on one shard, while a burst spreads over idle workers;
 //! * [`ServingPool::submit`] is non-blocking and returns a [`Ticket`] that
 //!   resolves to the [`ServingResponse`]; [`ServingPool::drain`] blocks until
 //!   every accepted request has been served; [`ServingPool::shutdown`] drains,
@@ -35,34 +33,36 @@
 //!
 //! A pool built over a multi-device [`Fleet`]
 //! ([`ServingPool::with_fleet`]) becomes a **device-aware router**:
-//! [`PoolConfig::shards`] shards are pinned to *each* device, every shard's
-//! engine shares the whole fleet (so its selections are fleet-wide
+//! [`PoolConfig::shards`] shards are pinned to *each* device, the pool
+//! engine spans the whole fleet (so its selections are fleet-wide
 //! deterministic), and routing composes two levels:
 //!
-//! 1. **device affinity** — a shared router engine resolves the request's
+//! 1. **device affinity** — the pool engine resolves the request's
 //!    `(kernel, device)` selection (cached per plan key, so repeat traffic
 //!    routes with one hash probe) and picks the selected device's shard
 //!    group;
-//! 2. **fingerprint locality** — within the group, `sparsity_fingerprint() %
-//!    group_size` pins the matrix to one home shard.
+//! 2. **shortest queue** — within the group, the shard with the fewest
+//!    pending requests takes the job, ties going to the home shard
+//!    `sparsity_fingerprint() % group_size`.
 //!
-//! Because placement is deterministic, every `(fingerprint, device, kernel)`
-//! triple has exactly one home shard, so each prepared execution plan is
-//! still built exactly once pool-wide. [`PoolStats::devices`] reports
-//! per-device queue depth and served counts. A single-device pool has no
-//! router and routes by bare fingerprint.
+//! The workers share the engine's caches, so each `(fingerprint, device,
+//! kernel)` prepared execution plan is built exactly once pool-wide,
+//! whichever shard of the group serves it. [`PoolStats::devices`] reports
+//! per-device queue depth, served counts and the engine's per-device
+//! counters. A single-device pool is the same machinery with one group.
 //!
 //! # Elastic membership
 //!
 //! The fleet behind a running pool can change. [`ServingPool::add_device`]
-//! registers a device and publishes a fresh shard group pinned to it (a
-//! formerly single-device pool gains a router at that moment);
+//! registers a device and publishes a fresh shard group pinned to it;
 //! [`ServingPool::retire_device`] marks the device retired, narrowly
-//! invalidates its cached kernel costs and prepared plans on every engine
-//! ([`SeerEngine::invalidate_device`]), unpublishes its shard group and
-//! drains the group's backlog onto surviving devices. A request whose
-//! placement device dies mid-execution (fault injection:
-//! [`Fleet::fail_device`]) is retried exactly once on a surviving device —
+//! invalidates its cached kernel costs and prepared plans on the pool
+//! engine ([`SeerEngine::invalidate_device`]), unpublishes its shard group
+//! and drains the group's backlog onto surviving devices: a queued request
+//! whose selected device is no longer live re-selects once on the pool
+//! engine when its plan activates. A request whose placement device dies
+//! mid-execution (fault injection: [`Fleet::fail_device`]) is retried
+//! exactly once on a surviving device —
 //! counted in [`ShardStats::device_failures`], [`ShardStats::retried`] and
 //! [`ShardStats::migrated`] — so its [`Ticket`] resolves to a correct
 //! response instead of an error; [`ServingError::WorkerDied`] stays
@@ -97,12 +97,13 @@
 //!
 //! # Routing offload & same-fingerprint micro-batching
 //!
-//! One route-and-push places every request: it fingerprints the matrix,
-//! resolves device affinity through the shared router engine, pushes the
-//! job onto its home shard's queue, re-routes when a retire closed that
-//! queue, evicts under [`ShedPolicy::DropLowestPriority`], and waits or
-//! sheds on a full queue. Without [`PoolConfig::with_routing`] it runs on
-//! the submitter's thread. With it:
+//! One route-and-push places every request, once, in admission order: it
+//! fingerprints the matrix, resolves and bills the request's selection on
+//! the pool engine, pushes the job onto the shortest queue of the selected
+//! device's shard group, re-routes when a retire closed that queue, evicts
+//! under [`ShedPolicy::DropLowestPriority`], and waits or sheds on a full
+//! queue. Without [`PoolConfig::with_routing`] it runs on the submitter's
+//! thread. With it:
 //!
 //! * **Routing offload** — `submit`/`try_submit` push the admitted job onto
 //!   a small bounded *routing stage* in O(1), and one dedicated routing
@@ -115,24 +116,26 @@
 //! * **Micro-batching** — a shard worker dequeues a run of up to
 //!   [`RoutingConfig::max_batch`] *adjacent* queued requests from the same
 //!   priority lane that share a sparsity fingerprint, workload kind,
-//!   iteration count, policy and matrix content. Without routing every run
-//!   is one request.
+//!   iteration count, policy, selection and matrix content. Without routing
+//!   every run is one request.
 //!
 //! # Serving a run
 //!
 //! Every dequeue is a run of one or more requests, served by one path. Each
 //! member's queue wait is recorded and its deadline checked. The run's plan
-//! is activated on its first live member — one selection for select-only
-//! work, one [`SeerEngine::activate_plan`] (selection resolve plus
-//! `Arc<PreparedPlan>` pin) for execute work — and every member runs
-//! against it, so a burst of K identical operators costs one cache walk
-//! instead of K. The activation's selection overhead is billed to the run's
-//! first executed member, exactly as a sequential replay bills its first
-//! cache miss, so responses stay **bit-identical** to sequential serving. A
-//! panic fails only its own member. A dead placement device drops the
-//! activation, and the member is retried once on a fresh one, which the
-//! rest of the run then shares. Runs form only at dequeue, so an eviction
-//! or expiry of a queued would-be batchmate needs no special casing.
+//! is activated on its first live member — the routed selection for
+//! select-only work, one `Arc<PreparedPlan>` pin for execute work — and
+//! every member runs against it, so a burst of K identical operators costs
+//! one cache walk instead of K. Each member is billed the selection
+//! overhead its own routing incurred: the first admitted request of a plan
+//! key carries the miss and the rest are pure kernel time, exactly as in a
+//! sequential replay, so responses stay **bit-identical** to sequential
+//! serving whichever worker serves them. A run whose selected device is no
+//! longer live re-selects once on the pool engine. A panic fails only its
+//! own member. A dead placement device drops the activation, and the
+//! member is retried once on a fresh one, which the rest of the run then
+//! shares. Runs form only at dequeue, so an eviction or expiry of a queued
+//! would-be batchmate needs no special casing.
 //!
 //! The counters ([`PoolStats::routing`]) show both layers: `routed_async`
 //! counts stage-forwarded requests, `batched_requests` /
@@ -181,7 +184,7 @@ use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, GpuSpec, MembershipError, Sim
 use seer_sparse::{CsrMatrix, Scalar};
 
 use crate::engine::{
-    EngineStats, EngineWorkspace, PlanActivation, Recalibration, RecalibrationConfig, SeerEngine,
+    EngineStats, EngineWorkspace, PlanActivation, RecalibrationConfig, SeerEngine,
 };
 use crate::inference::{Selection, SelectionPolicy};
 use crate::training::SeerModels;
@@ -189,23 +192,22 @@ use crate::training::SeerModels;
 /// Configuration of a [`ServingPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolConfig {
-    /// Number of shards (worker threads with private engines) pinned to
+    /// Number of shards (worker threads, each with its own queue) pinned to
     /// *each* fleet device: a pool over an `N`-device fleet runs `N x
     /// shards` workers. For the single-device constructors this is simply
     /// the total shard count.
     pub shards: usize,
     /// Enable structure-class selection inheritance
-    /// ([`SeerEngine::set_structure_class_reuse`]) on every shard engine and
-    /// on the router, so fresh matrices from an already-served structure
-    /// class skip the cold selection sweep. Off by default: inherited
+    /// ([`SeerEngine::set_structure_class_reuse`]) on the pool engine, so
+    /// fresh matrices from an already-served structure class skip the cold
+    /// selection sweep. Off by default: inherited
     /// selections are approximate by design, and the pool's differential
     /// guarantees against a sequential engine hold exactly only without it.
     pub structure_class_reuse: bool,
-    /// Online recalibration ([`SeerEngine::set_recalibration`]) shared
-    /// pool-wide: one correction table is installed on every shard engine
-    /// *and* the router, so a timing drift observed by any shard's execute
-    /// traffic reweights placement for the whole pool. `None` (the default)
-    /// keeps the pool bit-identical to a sequential engine replay.
+    /// Online recalibration ([`SeerEngine::set_recalibration`]) on the pool
+    /// engine: a timing drift observed by any worker's execute traffic
+    /// reweights placement for the whole pool. `None` (the default) keeps
+    /// the pool bit-identical to a sequential engine replay.
     pub recalibration: Option<RecalibrationConfig>,
     /// Admission control at the pool's front door: bounded per-shard queues,
     /// an optional pool-wide in-flight cap and a full-queue [`ShedPolicy`].
@@ -416,7 +418,7 @@ impl Default for RoutingConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ShedReason {
-    /// The home shard's bounded queue was full (and, under
+    /// The chosen shard's bounded queue was full (and, under
     /// [`ShedPolicy::DropLowestPriority`], nothing queued ranked strictly
     /// below the newcomer).
     QueueFull {
@@ -601,7 +603,7 @@ impl ServingRequest {
 /// The served result of one [`ServingRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingResponse {
-    /// The selection the shard's engine made.
+    /// The selection the pool engine made.
     pub selection: Selection,
     /// The product vector, for [`Workload::Execute`] requests.
     pub result: Option<Vec<Scalar>>,
@@ -1072,10 +1074,6 @@ pub struct ShardStats {
     /// was no longer live — drained backlog and retried work that migrated
     /// to a surviving device.
     pub migrated: u64,
-    /// Cache/fallback counters of the shard's engine.
-    pub engine: EngineStats,
-    /// Distinct plans currently cached by the shard's engine.
-    pub cached_plans: usize,
 }
 
 impl ShardStats {
@@ -1087,8 +1085,9 @@ impl ShardStats {
 
 /// Per-device rollup of a fleet pool's counters: the shards pinned to one
 /// device, summed, so the balance identity on [`ShardStats::served`] holds
-/// for each lane too. Built by [`PoolStats::devices`]. `Default` is the
-/// empty lane of the default device: all counters zero.
+/// for each lane too, plus the pool engine's counters for the device. Built
+/// by [`PoolStats::devices`]. `Default` is the empty lane of the default
+/// device: all counters zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DevicePoolStats {
     /// The device this lane serves.
@@ -1118,7 +1117,12 @@ pub struct DevicePoolStats {
     /// Requests served by this device's shards after the device stopped
     /// being live (drained/migrated work).
     pub migrated: u64,
-    /// Engine counters summed over the device's shards.
+    /// The pool engine's device-attributable counters for this device
+    /// ([`SeerEngine::device_stats`]): hits and misses of the selections it
+    /// placed here, and the preparations, evictions and resident bytes of
+    /// its prepared plans for this device. Work shared across devices
+    /// (profile passes, feature collections) is only in
+    /// [`PoolStats::engine`].
     pub engine: EngineStats,
 }
 
@@ -1146,7 +1150,7 @@ impl DevicePoolStats {
 pub struct AdmissionPoolStats {
     /// Whether the pool was built with an [`AdmissionConfig`].
     pub enabled: bool,
-    /// Requests refused at admission because the home shard's bounded
+    /// Requests refused at admission because the chosen shard's bounded
     /// queue was full (non-blocking submits).
     pub shed_queue_full: u64,
     /// Requests refused at admission by the pool-wide in-flight cap
@@ -1199,7 +1203,7 @@ impl AdmissionPoolStats {
 pub struct RoutingPoolStats {
     /// Whether the pool was built with a [`RoutingConfig`].
     pub enabled: bool,
-    /// Requests routed and forwarded to their home shard by the dedicated
+    /// Requests routed and forwarded to a shard by the dedicated
     /// routing worker (instead of on the submitter thread).
     pub routed_async: u64,
     /// Non-blocking submits refused because the bounded routing stage was
@@ -1234,17 +1238,21 @@ impl RoutingPoolStats {
     }
 }
 
-/// Aggregate snapshot of a [`ServingPool`].
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregate snapshot of a [`ServingPool`]. `Default` is the snapshot of a
+/// pool with no shards and no traffic.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolStats {
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Counters of the shared router engine that resolves device affinity —
-    /// `None` for single-device pools, which route by bare fingerprint.
-    /// Router selections are routing work, not served requests: they are
-    /// deliberately kept out of the per-shard counters so
-    /// `engine().selections()` still equals the requests served.
+    /// Counters of a separate router engine. The pool has none — its one
+    /// engine routes every request, and those counters, routing selections
+    /// included, are [`PoolStats::engine`] — so this is always `None`.
     pub router: Option<EngineStats>,
+    /// The pool engine's counters ([`SeerEngine::stats`]).
+    engine: EngineStats,
+    /// The pool engine's per-device counters ([`SeerEngine::device_stats`]),
+    /// indexed by [`DeviceId`].
+    device_engines: Vec<EngineStats>,
     /// Front-door admission counters; all zero without admission control.
     pub admission: AdmissionPoolStats,
     /// Routing-offload and micro-batching counters; all zero without
@@ -1259,7 +1267,8 @@ pub struct PoolStats {
 impl PoolStats {
     /// Per-device rollups, in device order: each entry sums the shards
     /// pinned to that device, so the entries partition the pool and their
-    /// sums equal the aggregate counters.
+    /// sums equal the aggregate counters. Each lane's engine counters are
+    /// the pool engine's for that device.
     pub fn devices(&self) -> Vec<DevicePoolStats> {
         let mut lanes: Vec<DevicePoolStats> = Vec::new();
         for shard in &self.shards {
@@ -1268,6 +1277,11 @@ impl PoolStats {
                 None => {
                     lanes.push(DevicePoolStats {
                         device: shard.device,
+                        engine: self
+                            .device_engines
+                            .get(shard.device.index())
+                            .copied()
+                            .unwrap_or_default(),
                         ..DevicePoolStats::default()
                     });
                     lanes.last_mut().expect("just pushed")
@@ -1283,7 +1297,6 @@ impl PoolStats {
             lane.device_failures = lane.device_failures.saturating_add(shard.device_failures);
             lane.retried = lane.retried.saturating_add(shard.retried);
             lane.migrated = lane.migrated.saturating_add(shard.migrated);
-            lane.engine = lane.engine.saturating_add(shard.engine);
         }
         lanes.sort_by_key(|lane| lane.device);
         lanes
@@ -1424,11 +1437,10 @@ impl PoolStats {
         self.submitted().saturating_sub(self.completed())
     }
 
-    /// Engine counters aggregated over every shard (saturating sums).
+    /// Counters of the pool engine: one selection per routed request (plus
+    /// one per re-selected run), and every worker's plan preparations.
     pub fn engine(&self) -> EngineStats {
-        self.shards.iter().fold(EngineStats::default(), |acc, s| {
-            acc.saturating_add(s.engine)
-        })
+        self.engine
     }
 
     /// Served requests per second of pool lifetime.
@@ -1442,7 +1454,9 @@ impl PoolStats {
     }
 }
 
-/// A job in flight: the request plus the responder that resolves its ticket.
+/// A routed job: the request, the responder that resolves its ticket, and
+/// what routing decided for it — once per request, on whichever thread
+/// routed it ([`route_and_push`]).
 struct Job {
     request: ServingRequest,
     responder: Responder,
@@ -1453,11 +1467,24 @@ struct Job {
     /// queue-wait sample, and of its end-to-end sample if it was never
     /// staged.
     queued: Instant,
-    /// The matrix's sparsity fingerprint — the routing key — computed once
-    /// per request by whichever thread routes it, and carried to the shard
-    /// push and the dequeue-time batching probe. `0` while the job sits in
-    /// the routing stage.
+    /// The matrix's sparsity fingerprint: the home shard within the device
+    /// group, and the dequeue-time batching probe's first key.
     fingerprint: u64,
+    /// The selection resolved on the pool engine; its device picks the
+    /// shard group.
+    selection: Selection,
+    /// The selection overhead that resolve incurred, billed to this job's
+    /// execution: the miss for the first admitted request of a plan key,
+    /// zero for the rest.
+    charge: SimTime,
+}
+
+/// An admitted request waiting in the routing stage, not yet routed.
+struct Staged {
+    request: ServingRequest,
+    responder: Responder,
+    /// When the stage accepted the ticket.
+    at: Instant,
 }
 
 /// Parks on `condvar` until `poll` yields a value or `deadline` (if any)
@@ -1575,12 +1602,12 @@ impl ShardQueue {
 
 /// Whether two adjacent queued jobs may share one plan activation: same
 /// workload kind (select-only with select-only, execute with execute —
-/// never the chaos workloads), same routing key, same workload length and
-/// policy (the selection-plan cache key), and the same matrix *content*
-/// (`Arc` identity, or equal content fingerprints for distinct handles —
-/// the value check matters because an ELL prepared plan embeds value
-/// bits). Execute batchmates may carry different input vectors `x`; the
-/// activated plan is input-independent.
+/// never the chaos workloads), same sparsity fingerprint, workload length
+/// and policy (the selection-plan cache key), the same routed selection,
+/// and the same matrix *content* (`Arc` identity, or equal content
+/// fingerprints for distinct handles — the value check matters because an
+/// ELL prepared plan embeds value bits). Execute batchmates may carry
+/// different input vectors `x`; the activated plan is input-independent.
 fn batchable(head: &Job, next: &Job) -> bool {
     let kind_compatible = matches!(
         (&head.request.workload, &next.request.workload),
@@ -1591,14 +1618,15 @@ fn batchable(head: &Job, next: &Job) -> bool {
         && head.fingerprint == next.fingerprint
         && head.request.iterations == next.request.iterations
         && head.request.policy == next.request.policy
+        && head.selection == next.selection
         && (Arc::ptr_eq(&head.request.matrix, &next.request.matrix)
             || head.request.matrix.content_fingerprint()
                 == next.request.matrix.content_fingerprint())
 }
 
 /// The bounded submit-side stage of a routing-offloaded pool: submitters
-/// push admitted jobs here in O(1), and the routing worker pops them and
-/// routes and pushes each one to its home shard. Same condvar discipline as
+/// push admitted requests here in O(1), and the routing worker pops them
+/// and routes and pushes each one to a shard. Same condvar discipline as
 /// [`ShardQueue`].
 #[derive(Default)]
 struct RoutingStage {
@@ -1615,16 +1643,22 @@ struct RoutingStage {
 
 #[derive(Default)]
 struct StageState {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<Staged>,
     closed: bool,
     space_waiters: usize,
 }
 
 impl RoutingStage {
-    /// Submitter-side push: O(1), no routing work. Accepting the job stamps
-    /// its admission. A full stage sheds or waits for space as `wait` says;
-    /// a closed one hands the job back with [`ShedReason::PoolClosed`].
-    fn push(&self, mut job: Job, wait: &mut Wait<'_>) -> Result<(), (Responder, ShedReason)> {
+    /// Submitter-side push: O(1), no routing work. Accepting the request
+    /// stamps its admission. A full stage sheds or waits for space as `wait`
+    /// says; a closed one hands the responder back with
+    /// [`ShedReason::PoolClosed`].
+    fn push(
+        &self,
+        request: ServingRequest,
+        responder: Responder,
+        wait: &mut Wait<'_>,
+    ) -> Result<(), (Responder, ShedReason)> {
         let capacity = self.capacity;
         let has_room = |state: &mut StageState| {
             (state.closed || capacity == 0 || state.jobs.len() < capacity).then_some(())
@@ -1632,7 +1666,7 @@ impl RoutingStage {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if has_room(&mut state).is_none() {
             if !wait.block {
-                return Err((job.responder, ShedReason::RoutingStageFull));
+                return Err((responder, ShedReason::RoutingStageFull));
             }
             wait.note();
             state.space_waiters += 1;
@@ -1640,14 +1674,17 @@ impl RoutingStage {
             (state, ready) = wait_for(&self.space, state, wait.deadline, has_room);
             state.space_waiters -= 1;
             if ready.is_none() {
-                return Err((job.responder, ShedReason::BackpressureTimeout));
+                return Err((responder, ShedReason::BackpressureTimeout));
             }
         }
         if state.closed {
-            return Err((job.responder, ShedReason::PoolClosed));
+            return Err((responder, ShedReason::PoolClosed));
         }
-        job.staged = Some(Instant::now());
-        state.jobs.push_back(job);
+        state.jobs.push_back(Staged {
+            request,
+            responder,
+            at: Instant::now(),
+        });
         self.in_stage.fetch_add(1, Ordering::SeqCst);
         drop(state);
         self.available.notify_one();
@@ -1657,7 +1694,7 @@ impl RoutingStage {
     /// Routing-worker-side blocking pop; `None` once the stage is closed
     /// *and* empty, so a shutdown still drains every in-stage job through
     /// the worker (which resolves each one typed).
-    fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Staged> {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let (mut state, _) = wait_for(&self.available, state, None, |state| {
             (state.closed || !state.jobs.is_empty()).then_some(())
@@ -1818,20 +1855,29 @@ struct ShardCounters {
     migrated: AtomicU64,
 }
 
-/// One shard: a private engine pinned to a device, its queue and its
-/// counters, shared by the pool core and the shard's worker thread.
+/// One shard: a worker's queue and counters, pinned to a device, shared by
+/// the pool core and the shard's worker thread.
 struct Shard {
     index: usize,
     /// The fleet device this shard is pinned to: device-affinity routing
     /// only sends it requests whose selection placed the workload here.
     device: DeviceId,
-    engine: SeerEngine,
     /// Closed (never dropped) by shutdown or this shard's device
     /// retirement; the worker drains the backlog and exits.
     queue: ShardQueue,
     /// Requests pushed onto the queue.
     submitted: AtomicU64,
     counters: ShardCounters,
+}
+
+impl Shard {
+    /// Requests pushed onto this shard and not yet resolved: its load, for
+    /// routing, and its share of the pool's pending count.
+    fn pending(&self) -> u64 {
+        self.submitted
+            .load(Ordering::SeqCst)
+            .saturating_sub(self.counters.completed.load(Ordering::SeqCst))
+    }
 }
 
 /// The membership-mutable part of a pool: the shards, their worker threads
@@ -1856,12 +1902,9 @@ struct PoolInner {
 /// through one `Arc`.
 struct PoolCore {
     inner: RwLock<PoolInner>,
-    /// The shared fleet engine that resolves device affinity. `None` while
-    /// the pool serves a single device: with one device there is nothing to
-    /// place, and routing is the bare fingerprint hash. Readers clone the
-    /// `Arc` and drop the guard at once, so this lock is never held across
-    /// the `inner` lock.
-    router: RwLock<Option<Arc<SeerEngine>>>,
+    /// The pool engine: routing selects every request on it, and every
+    /// worker executes its prepared plans.
+    engine: SeerEngine,
     progress: Progress,
     front_door: FrontDoor,
     routing: RoutingShared,
@@ -1874,23 +1917,6 @@ struct PoolCore {
 }
 
 impl PoolCore {
-    /// The shared router engine, if the pool has one. Clones the handle so
-    /// the router lock is released before any other pool lock is taken.
-    fn router(&self) -> Option<Arc<SeerEngine>> {
-        self.router
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The request's device placement from the router (`None` on a
-    /// single-device pool), resolved with no pool lock held.
-    fn placement(&self, request: &ServingRequest) -> Option<Selection> {
-        self.router().map(|router| {
-            router.select_with_policy(&request.matrix, request.iterations, request.policy)
-        })
-    }
-
     /// Requests accepted but not yet resolved: the shard deltas plus the
     /// jobs still in the routing stage, so a drain cannot slip past work
     /// the routing worker has not forwarded yet.
@@ -1903,13 +1929,10 @@ impl PoolCore {
             .as_ref()
             .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst));
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner.shards.iter().fold(in_stage, |n, s| {
-            n.saturating_add(
-                s.submitted
-                    .load(Ordering::SeqCst)
-                    .saturating_sub(s.counters.completed.load(Ordering::SeqCst)),
-            )
-        })
+        inner
+            .shards
+            .iter()
+            .fold(in_stage, |n, shard| n.saturating_add(shard.pending()))
     }
 }
 
@@ -1920,15 +1943,10 @@ impl PoolCore {
 /// See the [module docs](self) for the sharding, routing, determinism and
 /// membership model.
 pub struct ServingPool {
-    fleet: Fleet,
-    models: Arc<SeerModels>,
     /// The construction config, kept so shards spawned by a runtime
-    /// [`ServingPool::add_device`] match the original shards-per-device,
-    /// class-reuse and recalibration settings.
+    /// [`ServingPool::add_device`] match the original shards per device, and
+    /// for the stats' `enabled` flags.
     config: PoolConfig,
-    /// The pool-wide shared recalibration table, if configured — late-joining
-    /// shard engines are installed onto the same table.
-    recalibration: Option<Arc<Recalibration>>,
     core: Arc<PoolCore>,
     /// The routing worker draining the stage, present only with
     /// [`RoutingConfig`]; joined by [`ServingPool::stop_workers`].
@@ -1945,32 +1963,29 @@ impl std::fmt::Debug for ServingPool {
 }
 
 impl ServingPool {
-    /// Builds a single-device pool of `config.shards` engines over shared
-    /// device and model handles and starts one worker thread per shard.
+    /// Builds a single-device pool: one engine over shared device and model
+    /// handles, and `config.shards` worker threads.
     pub fn new(gpu: Arc<Gpu>, models: Arc<SeerModels>, config: PoolConfig) -> Self {
         Self::with_fleet(Fleet::single(gpu), models, config)
     }
 
     /// Builds a fleet pool: `config.shards` shards pinned to *each* fleet
-    /// device (so `fleet.len() x config.shards` workers in total), plus —
-    /// when the fleet has more than one device — a shared router engine
-    /// that resolves each request's `(kernel, device)` placement at submit
-    /// time. Every shard engine shares the whole fleet, so the selections
-    /// it serves are identical to a sequential fleet engine's.
+    /// device (so `fleet.len() x config.shards` workers in total) and one
+    /// engine over the whole fleet. Routing selects — and so places — every
+    /// request on that engine, and every worker executes its prepared plans,
+    /// so the selections the pool serves are identical to a sequential fleet
+    /// engine's.
     pub fn with_fleet(fleet: Fleet, models: Arc<SeerModels>, config: PoolConfig) -> Self {
         let config = PoolConfig {
             shards: config.shards.max(1),
             ..config
         };
-        // One correction table for the whole pool: every shard engine and
-        // the router share it, so an observation on any shard's execute
-        // traffic reweights every engine's corrected placement at once.
-        let recalibration = config
-            .recalibration
-            .map(|recal| Arc::new(Recalibration::new(recal, fleet.len())));
+        let engine = SeerEngine::with_fleet(fleet, models);
+        engine.set_structure_class_reuse(config.structure_class_reuse);
+        engine.set_recalibration(config.recalibration);
         let core = Arc::new(PoolCore {
             inner: RwLock::default(),
-            router: RwLock::new(None),
+            engine,
             progress: Progress::default(),
             front_door: FrontDoor {
                 config: config.admission.unwrap_or(AdmissionConfig::bounded(0)),
@@ -1992,47 +2007,29 @@ impl ServingPool {
                 .expect("spawn routing worker")
         });
         let pool = Self {
-            fleet: fleet.clone(),
-            models,
             config,
-            recalibration,
             core,
             routing_worker,
             started: Instant::now(),
         };
-        for device in fleet.ids() {
+        for device in pool.fleet().ids() {
             pool.attach_device(device);
         }
         pool
     }
 
-    /// A fresh engine sharing the pool's fleet, models, class-reuse setting
-    /// and (if configured) the pool-wide recalibration table. Used for every
-    /// shard engine and for the router, including shards spawned by a
-    /// runtime [`ServingPool::add_device`]. On the router, inherited routing
-    /// stays device-affine: a class hit pins the whole class's placement to
-    /// one device group.
-    fn build_engine(&self) -> SeerEngine {
-        let engine = SeerEngine::with_fleet(self.fleet.clone(), Arc::clone(&self.models));
-        engine.set_structure_class_reuse(self.config.structure_class_reuse);
-        if let Some(recal) = &self.recalibration {
-            engine.install_recalibration(Arc::clone(recal));
-        }
-        engine
-    }
-
     /// Joins a new device to the *running* pool: registers it with the
-    /// fleet, then spawns [`PoolConfig::shards`] shards pinned to it. A pool
-    /// that was single-device gains a router first, so requests submitted
-    /// from here on are device-placed. In-flight submits race harmlessly:
-    /// until the new shard group is published they route to the existing
-    /// groups, exactly as before the join.
+    /// fleet, then spawns [`PoolConfig::shards`] shards pinned to it. From
+    /// then on the pool engine places fresh selections across the grown
+    /// fleet; plans it already cached keep their placement, as on a
+    /// standalone engine. In-flight submits race harmlessly: until the new
+    /// shard group is published they route to the existing groups.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError`] if the device specification is invalid.
     pub fn add_device(&self, spec: GpuSpec) -> Result<DeviceId, SpecError> {
-        let device = self.fleet.add_device(spec)?;
+        let device = self.fleet().add_device(spec)?;
         self.attach_device(device);
         Ok(device)
     }
@@ -2048,7 +2045,7 @@ impl ServingPool {
         name: impl Into<String>,
         gpu: Arc<Gpu>,
     ) -> Result<DeviceId, SpecError> {
-        let device = self.fleet.add_device_named(name, gpu)?;
+        let device = self.fleet().add_device_named(name, gpu)?;
         self.attach_device(device);
         Ok(device)
     }
@@ -2056,19 +2053,6 @@ impl ServingPool {
     /// Spawns and publishes the shards of a device already registered with
     /// the fleet.
     fn attach_device(&self, device: DeviceId) {
-        // Build the router before the new shards become routable: a
-        // multi-device fleet has placements to resolve. The router lock is
-        // taken and released before touching `inner`.
-        if !self.fleet.is_single_device() {
-            let mut router = self
-                .core
-                .router
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            if router.is_none() {
-                *router = Some(Arc::new(self.build_engine()));
-            }
-        }
         let mut inner = self
             .core
             .inner
@@ -2082,7 +2066,6 @@ impl ServingPool {
             let shard = Arc::new(Shard {
                 index,
                 device,
-                engine: self.build_engine(),
                 queue: ShardQueue::default(),
                 submitted: AtomicU64::new(0),
                 counters: ShardCounters::default(),
@@ -2101,35 +2084,23 @@ impl ServingPool {
     }
 
     /// Retires a device from the running pool. The fleet marks it retired
-    /// (new selections skip it), every shard engine and the router drop the
-    /// device's cached kernel costs, prepared plans and recalibration
-    /// factors ([`SeerEngine::invalidate_device`]), the device's shard group
-    /// is unpublished (its fingerprint/class affinity re-homes to the
-    /// surviving groups on the next submit), and the group's queued backlog
-    /// drains on its own workers — each queued request re-places onto a
-    /// surviving device, counted in [`ShardStats::migrated`] — before this
-    /// call returns.
+    /// (new selections skip it), the pool engine drops the device's cached
+    /// kernel costs, prepared plans and recalibration factors
+    /// ([`SeerEngine::invalidate_device`]), the device's shard group is
+    /// unpublished, and the group's queued backlog drains on its own
+    /// workers — each queued request re-selects once onto a surviving
+    /// device, counted in [`ShardStats::migrated`] — before this call
+    /// returns.
     ///
     /// # Errors
     ///
     /// Returns the fleet's [`MembershipError`] — unknown device, double
     /// retire, or retiring the last live device — without touching the pool.
     pub fn retire_device(&self, device: DeviceId) -> Result<(), MembershipError> {
-        self.fleet.retire_device(device)?;
-        // Narrow invalidation everywhere the device's costs could be
-        // cached: queued work re-selects against the shrunken live set.
-        for shard in &self
-            .core
-            .inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shards
-        {
-            shard.engine.invalidate_device(device);
-        }
-        if let Some(router) = self.core.router() {
-            router.invalidate_device(device);
-        }
+        self.fleet().retire_device(device)?;
+        // Narrow invalidation: queued work re-selects against the shrunken
+        // live set.
+        self.core.engine.invalidate_device(device);
         // Unpublish the group and close its queues under the write lock —
         // a submit that raced past routing either reached the queue before
         // this (its job drains below) or re-routes to survivors.
@@ -2161,10 +2132,10 @@ impl ServingPool {
     }
 
     /// Builds a pool serving the same fleet and models as `engine` — a
-    /// fleet-aware engine begets a fleet pool, a single-device engine the
-    /// classic fingerprint-sharded pool.
+    /// fleet-aware engine begets a fleet pool, a single-device engine a
+    /// single-device pool.
     ///
-    /// The pool's shards keep their own caches; nothing already cached by
+    /// The pool builds its own engine over them; nothing already cached by
     /// `engine` is shared.
     pub fn from_engine(engine: &SeerEngine, config: PoolConfig) -> Self {
         Self::with_fleet(engine.fleet().clone(), engine.models_handle(), config)
@@ -2184,44 +2155,13 @@ impl ServingPool {
 
     /// The device fleet this pool routes over.
     pub fn fleet(&self) -> &Fleet {
-        &self.fleet
+        self.core.engine.fleet()
     }
 
-    /// The home shard of `matrix` under bare fingerprint routing:
-    /// `sparsity_fingerprint() % shards`. Keying on the sparsity component
-    /// (the same key every engine cache uses) means a value-only mutation
-    /// never re-homes a matrix — its warm shard keeps serving it. This is
-    /// the complete routing function of a single-device pool; a fleet pool
-    /// first resolves the request's device affinity (see the
-    /// [module docs](self)), so its home shard depends on the whole
-    /// request — use [`ServingPool::shard_for_request`] there.
-    pub fn shard_for(&self, matrix: &CsrMatrix) -> usize {
-        (matrix.sparsity_fingerprint() % self.shards() as u64) as usize
-    }
-
-    /// The shard `request` will be routed to: the fingerprint-local shard
-    /// of the selected device's group. For single-device pools this is
-    /// [`ServingPool::shard_for`] on the request's matrix.
-    ///
-    /// Resolving affinity on a fleet pool consults (and warms) the shared
-    /// router engine, exactly as submitting the request would.
-    pub fn shard_for_request(&self, request: &ServingRequest) -> usize {
-        let selection = self.core.placement(request);
-        route_in(
-            &self
-                .core
-                .inner
-                .read()
-                .unwrap_or_else(PoisonError::into_inner),
-            request.matrix.sparsity_fingerprint(),
-            selection.as_ref(),
-        )
-    }
-
-    /// Enqueues one request on its home shard and returns a [`Ticket`] for
-    /// the response. Never blocks on the serving work itself; on a fleet
-    /// pool, first contact with a matrix additionally resolves its device
-    /// affinity through the shared router engine (cached thereafter).
+    /// Routes one request to a shard and returns a [`Ticket`] for the
+    /// response. Never blocks on the serving work itself; without
+    /// [`PoolConfig::with_routing`], first contact with a matrix additionally
+    /// resolves its selection on the pool engine (cached thereafter).
     ///
     /// Under admission control ([`PoolConfig::with_admission`]) `submit`
     /// keeps its infallible signature by *blocking* when the pool is at
@@ -2319,29 +2259,20 @@ impl ServingPool {
             }
         }
         let cell = TicketCell::new();
-        let now = Instant::now();
-        let mut job = Job {
-            request,
-            responder: Responder {
-                cell: Some(Arc::clone(&cell)),
-                shard: 0,
-            },
-            staged: None,
-            queued: now,
-            fingerprint: 0,
+        let responder = Responder {
+            cell: Some(Arc::clone(&cell)),
+            shard: 0,
         };
+        let now = Instant::now();
         let placed = match &core.stage {
-            // Routing offload: an O(1) push — no fingerprint hash, no router
+            // Routing offload: an O(1) push — no fingerprint hash, no
             // selection, no cache walk on this thread. The routing worker
             // places the job, so its ticket has no shard yet.
-            Some(stage) => stage.push(job, &mut wait).map(|()| {
+            Some(stage) => stage.push(request, responder, &mut wait).map(|()| {
                 core.routing.submit.record(now.elapsed());
                 usize::MAX
             }),
-            None => {
-                job.fingerprint = job.request.matrix.sparsity_fingerprint();
-                route_and_push(core, job, &mut wait)
-            }
+            None => route_and_push(core, request, responder, None, &mut wait),
         };
         match placed {
             Ok(shard) => SubmitOutcome::Accepted(Ticket {
@@ -2456,15 +2387,15 @@ impl ServingPool {
                 device_failures: shard.counters.device_failures.load(Ordering::Acquire),
                 retried: shard.counters.retried.load(Ordering::Acquire),
                 migrated: shard.counters.migrated.load(Ordering::Acquire),
-                engine: shard.engine.stats(),
-                cached_plans: shard.engine.cached_plans(),
             })
             .collect();
         drop(inner);
         let door = &core.front_door;
         let routing = &core.routing;
         PoolStats {
-            router: core.router().map(|router| router.stats()),
+            router: None,
+            engine: core.engine.stats(),
+            device_engines: core.engine.device_stats(),
             admission: AdmissionPoolStats {
                 enabled: self.config.admission.is_some(),
                 shed_queue_full: door.shed_queue_full.load(Ordering::SeqCst),
@@ -2508,9 +2439,9 @@ impl ServingPool {
     /// handle first joins it.
     ///
     /// The routing stage winds down *first*, while the shard queues are
-    /// still open: the routing worker drains every in-stage job into its
-    /// home shard (so a graceful [`ServingPool::shutdown`] still serves
-    /// them), and only then do the shard queues close. After a
+    /// still open: the routing worker routes every in-stage request to a
+    /// shard (so a graceful [`ServingPool::shutdown`] still serves them),
+    /// and only then do the shard queues close. After a
     /// [`ServingPool::begin_shutdown`] the shard queues are already closed
     /// and the drained jobs resolve typed [`ServingError::PoolClosed`]
     /// instead.
@@ -2554,26 +2485,24 @@ fn join_worker(worker: JoinHandle<()>) {
     }
 }
 
-/// The routing function, applied under one read of the pool's `inner` lock.
-/// Takes the request's already-computed routing key (the matrix's sparsity
-/// fingerprint) so no hop ever re-derives it.
-///
-/// With a device placement: the fingerprint-local shard of the placed
-/// device's group; if that group is gone (retired between selection and
-/// routing), the first surviving group. Without a placement (single-device
-/// pool): bare `fingerprint % shards`.
-fn route_in(inner: &PoolInner, fingerprint: u64, selection: Option<&Selection>) -> usize {
-    if let Some(selection) = selection {
-        let placed = inner
-            .device_groups
-            .get(selection.device.index())
-            .filter(|group| !group.is_empty())
-            .or_else(|| inner.device_groups.iter().find(|group| !group.is_empty()));
-        if let Some(group) = placed {
-            return group[(fingerprint % group.len() as u64) as usize];
-        }
-    }
-    (fingerprint % inner.shards.len().max(1) as u64) as usize
+/// The routing function, applied under one read of the pool's `inner` lock:
+/// the shard of `device`'s group with the fewest pending requests, ties
+/// going to the home shard `fingerprint % group_size`, so an idle pool keeps
+/// each matrix on one shard. If the group is gone (retired between
+/// selection and routing), the first surviving group takes the job, and its
+/// worker re-selects at dequeue.
+fn route_in(inner: &PoolInner, fingerprint: u64, device: DeviceId) -> usize {
+    let group = inner
+        .device_groups
+        .get(device.index())
+        .filter(|group| !group.is_empty())
+        .or_else(|| inner.device_groups.iter().find(|group| !group.is_empty()))
+        .expect("the last live device cannot retire, so a shard group survives");
+    let home = (fingerprint % group.len() as u64) as usize;
+    (0..group.len())
+        .map(|offset| group[(home + offset) % group.len()])
+        .min_by_key(|&index| inner.shards[index].pending())
+        .expect("shard groups are never empty")
 }
 
 /// What one push attempt against a shard queue produced. `Full` and
@@ -2629,13 +2558,14 @@ fn push_job(shard: &Shard, mut job: Job, admission: &AdmissionConfig) -> PushAtt
     PushAttempt::Queued(victim)
 }
 
-/// Routes `job` to its home shard and pushes it there; returns the shard's
-/// index. A queue closed by a retire re-routes to the survivors (the retire
-/// unpublished the group in the critical section that closed its queues);
-/// one closed by shutdown hands the job back with
-/// [`ShedReason::PoolClosed`]. A full queue evicts under
-/// [`ShedPolicy::DropLowestPriority`], then sheds or waits for space as
-/// `wait` says. Both `admit` (on the submitter's thread) and the routing
+/// Routes one admitted request and pushes it; returns the shard's index.
+/// The request's selection is resolved and billed on the pool engine once,
+/// here, in admission order, and travels with the job. A queue closed by a
+/// retire re-routes to the survivors (the retire unpublished the group in
+/// the critical section that closed its queues); one closed by shutdown
+/// hands the job back with [`ShedReason::PoolClosed`]. A full queue evicts
+/// under [`ShedPolicy::DropLowestPriority`], then sheds or waits for space
+/// as `wait` says. Both `admit` (on the submitter's thread) and the routing
 /// worker place jobs through here.
 ///
 /// Holding the `inner` read guard across the push is the no-lost-ticket
@@ -2643,15 +2573,28 @@ fn push_job(shard: &Shard, mut job: Job, admission: &AdmissionConfig) -> PushAtt
 /// landing in its queue.
 fn route_and_push(
     core: &PoolCore,
-    mut job: Job,
+    request: ServingRequest,
+    responder: Responder,
+    staged: Option<Instant>,
     wait: &mut Wait<'_>,
 ) -> Result<usize, (Responder, ShedReason)> {
     let admission = &core.front_door.config;
+    let (selection, charge) =
+        core.engine
+            .select_with_policy_charged(&request.matrix, request.iterations, request.policy);
+    let mut job = Job {
+        fingerprint: request.matrix.sparsity_fingerprint(),
+        request,
+        responder,
+        staged,
+        queued: Instant::now(),
+        selection,
+        charge,
+    };
     loop {
-        let selection = core.placement(&job.request);
         let (shard, attempt) = {
             let inner = core.inner.read().unwrap_or_else(PoisonError::into_inner);
-            let shard = &inner.shards[route_in(&inner, job.fingerprint, selection.as_ref())];
+            let shard = &inner.shards[route_in(&inner, job.fingerprint, job.selection.device)];
             (Arc::clone(shard), push_job(shard, job, admission))
         };
         match attempt {
@@ -2690,10 +2633,9 @@ fn route_and_push(
     }
 }
 
-/// The dedicated routing worker: pops admitted jobs off the stage,
-/// fingerprints each one (the submit path never hashed it) and routes and
-/// pushes it like an inline submit. Exits once the stage is closed *and*
-/// drained.
+/// The dedicated routing worker: pops admitted requests off the stage and
+/// routes and pushes each one like an inline submit (the submit path never
+/// hashed or selected it). Exits once the stage is closed *and* drained.
 fn routing_worker_loop(core: &PoolCore) {
     let Some(stage) = &core.stage else {
         return;
@@ -2705,9 +2647,14 @@ fn routing_worker_loop(core: &PoolCore) {
         deadline: None,
         uncounted: None,
     };
-    while let Some(mut job) = stage.pop() {
-        job.fingerprint = job.request.matrix.sparsity_fingerprint();
-        match route_and_push(core, job, &mut wait) {
+    while let Some(staged) = stage.pop() {
+        match route_and_push(
+            core,
+            staged.request,
+            staged.responder,
+            Some(staged.at),
+            &mut wait,
+        ) {
             Ok(_) => {
                 core.routing.routed_async.fetch_add(1, Ordering::SeqCst);
             }
@@ -2753,14 +2700,16 @@ fn deadline_expired(request: &ServingRequest) -> bool {
 ///
 /// * its queue wait is recorded and its deadline checked — an expired
 ///   member is shed ([`ShardStats::expired`]), never executed;
-/// * the run's [`RunPlan`] is activated on the first live member, so the
-///   selection overhead lands on the member a sequential replay would bill;
-/// * the member runs against the plan, unwind-isolated: a panic fails only
-///   this member ([`ServingError::WorkerDied`], [`ShardStats::failed`]). A
-///   dead placement device drops the plan, counts the failure and retries
-///   the member once on a fresh activation — the dead device is no longer
-///   live, so it places on a survivor — which the rest of the run then
-///   shares. A retry that dies too resolves to
+/// * the run's [`RunPlan`] is activated on the first live member — from
+///   its routed selection, or from one re-selection if that selection's
+///   device is no longer live;
+/// * the member runs against the plan, billed its own routing charge,
+///   unwind-isolated: a panic fails only this member
+///   ([`ServingError::WorkerDied`], [`ShardStats::failed`]). A dead
+///   placement device drops the plan, counts the failure and retries the
+///   member once on a fresh activation — the dead device is no longer
+///   live, so it re-selects onto a survivor — which the rest of the run
+///   then shares. A retry that dies too resolves to
 ///   [`ServingError::DeviceFailed`].
 ///
 /// A member served while this shard's pinned device is no longer live
@@ -2772,6 +2721,7 @@ fn serve_dequeued(
     run: &mut Vec<Job>,
     workspace: &mut EngineWorkspace,
 ) {
+    let engine = &core.engine;
     let counters = &shard.counters;
     if run.len() > 1 {
         core.routing
@@ -2789,7 +2739,7 @@ fn serve_dequeued(
             counters.expired.fetch_add(1, Ordering::SeqCst);
             Err(ServingError::DeadlineExceeded { shard: shard.index })
         } else {
-            let mut attempt = try_member(shard, &mut plan, &job.request, workspace);
+            let mut attempt = try_member(engine, shard.index, &mut plan, &job, workspace);
             if let Attempt::DeviceDied(_) = attempt {
                 // One retry, not a loop: a second dead device means the
                 // fleet is flapping faster than selections, and the caller
@@ -2797,7 +2747,7 @@ fn serve_dequeued(
                 counters.device_failures.fetch_add(1, Ordering::SeqCst);
                 counters.retried.fetch_add(1, Ordering::SeqCst);
                 plan = None;
-                attempt = try_member(shard, &mut plan, &job.request, workspace);
+                attempt = try_member(engine, shard.index, &mut plan, &job, workspace);
             }
             match attempt {
                 Attempt::Served(response) => Ok(response),
@@ -2815,7 +2765,7 @@ fn serve_dequeued(
             }
         };
         let served = outcome.is_ok();
-        let migrated = served && !shard.engine.fleet().is_live(shard.device);
+        let migrated = served && !engine.fleet().is_live(shard.device);
         // Resolve the ticket before counting the job completed: a drain
         // woken by the completion must find the outcome in place.
         job.responder.resolve(outcome);
@@ -2843,8 +2793,8 @@ fn finish_job(core: &PoolCore, counters: &ShardCounters) {
 
 /// The plan a run's members share, activated on its first live member: the
 /// selection for select-only and gate work, or the pinned execution plan
-/// with whether its first execution — the one billed the activation's
-/// selection overhead — is still to come.
+/// with whether its first execution — the one billed a re-selection's
+/// overhead — is still to come.
 enum RunPlan {
     Select(Selection),
     Execute {
@@ -2864,23 +2814,25 @@ enum Attempt {
 /// run has none (its first live member, or a retry after a dead device
 /// dropped it). Execute members replay the activation through
 /// [`SeerEngine::try_execute_activated_into`], so a device that died before
-/// or during the kernel surfaces typed.
+/// or during the kernel surfaces typed, and add the selection overhead
+/// their routing was charged.
 fn try_member(
-    shard: &Shard,
+    engine: &SeerEngine,
+    shard: usize,
     plan: &mut Option<RunPlan>,
-    request: &ServingRequest,
+    job: &Job,
     workspace: &mut EngineWorkspace,
 ) -> Attempt {
-    let engine = &shard.engine;
+    let request = &job.request;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let plan = match plan {
             Some(plan) => plan,
-            None => plan.insert(activate(engine, request)?),
+            None => plan.insert(activate(engine, job)?),
         };
         let (selection, result, total_time) = match (plan, &request.workload) {
             (RunPlan::Select(selection), _) => (*selection, None, None),
             (RunPlan::Execute { activation, first }, Workload::Execute { x }) => {
-                let (selection, total_time) = engine.try_execute_activated_into(
+                let (selection, executed) = engine.try_execute_activated_into(
                     activation,
                     &request.matrix,
                     x,
@@ -2891,7 +2843,7 @@ fn try_member(
                 (
                     selection,
                     Some(workspace.result().to_vec()),
-                    Some(total_time),
+                    Some(job.charge + executed),
                 )
             }
             (RunPlan::Execute { .. }, _) => unreachable!("execute plans serve execute runs only"),
@@ -2900,7 +2852,7 @@ fn try_member(
             selection,
             result,
             total_time,
-            shard: shard.index,
+            shard,
         })
     }));
     match outcome {
@@ -2910,29 +2862,33 @@ fn try_member(
     }
 }
 
-/// Activates the plan a run shares from one of its members: one
-/// [`SeerEngine::activate_plan`] (selection resolve plus plan pin) for
-/// execute work, one selection otherwise.
-fn activate(engine: &SeerEngine, request: &ServingRequest) -> Result<RunPlan, DeviceFailed> {
-    let (matrix, iterations, policy) = (&request.matrix, request.iterations, request.policy);
+/// Activates the plan a run shares from one of its members: the member's
+/// routed selection — re-selected once on the pool engine if its device is
+/// no longer live — plus, for execute work, the pinned prepared plan
+/// ([`SeerEngine::activate_selected`]).
+fn activate(engine: &SeerEngine, job: &Job) -> Result<RunPlan, DeviceFailed> {
+    let request = &job.request;
     match &request.workload {
-        Workload::Execute { .. } => {
-            return Ok(RunPlan::Execute {
-                activation: engine.activate_plan(matrix, iterations, policy)?,
-                first: true,
-            })
-        }
         Workload::PanicInjection => panic!("injected worker panic"),
         Workload::Gate { gate } => {
             let (lock, opened) = &**gate;
             let open = lock.lock().unwrap_or_else(PoisonError::into_inner);
             drop(wait_for(opened, open, None, |open| open.then_some(())));
         }
-        Workload::SelectOnly => {}
+        Workload::SelectOnly | Workload::Execute { .. } => {}
     }
-    Ok(RunPlan::Select(
-        engine.select_with_policy(matrix, iterations, policy),
-    ))
+    let (selection, charge) = if engine.fleet().is_live(job.selection.device) {
+        (job.selection, SimTime::ZERO)
+    } else {
+        engine.select_with_policy_charged(&request.matrix, request.iterations, request.policy)
+    };
+    Ok(match &request.workload {
+        Workload::Execute { .. } => RunPlan::Execute {
+            activation: engine.activate_selected(&request.matrix, selection, charge)?,
+            first: true,
+        },
+        _ => RunPlan::Select(selection),
+    })
 }
 
 #[cfg(test)]
@@ -2976,6 +2932,8 @@ mod tests {
 
     #[test]
     fn class_reuse_config_flows_to_every_shard_engine() {
+        // Every shard serves from the pool engine, which carries the
+        // setting.
         let entries = generate(&CollectionConfig::tiny());
         let (engine, _outcome) =
             SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
@@ -3008,46 +2966,53 @@ mod tests {
             .all(|s| s.kernel == selections[0].kernel && s.device == selections[0].device));
     }
 
+    /// Submits one request, waits for it and drains, so the pool is idle
+    /// again — every shard's pending count back at zero — when it returns.
+    fn serve_idle(pool: &ServingPool, request: ServingRequest) -> ServingResponse {
+        let response = pool.submit(request).wait().expect("healthy worker");
+        pool.drain();
+        response
+    }
+
     #[test]
     fn routing_is_by_fingerprint_modulo_shards() {
+        // On an idle pool every shard ties at zero pending requests, and a
+        // tie goes to the home shard: sparsity fingerprint % shards.
         let (pool, _engine, entries) = pool_and_corpus(4);
         let matrix = Arc::new(entries[0].matrix.clone());
-        let home = pool.shard_for(&matrix);
-        assert_eq!(
-            home,
-            (matrix.sparsity_fingerprint() % 4) as usize,
-            "routing must be sparsity fingerprint % shards"
-        );
-        let tickets =
-            pool.submit_batch((0..10).map(|_| ServingRequest::select(Arc::clone(&matrix), 1)));
-        assert!(tickets.iter().all(|t| t.shard() == home));
-        pool.drain();
+        let home = (matrix.sparsity_fingerprint() % 4) as usize;
+        for _ in 0..10 {
+            let response = serve_idle(&pool, ServingRequest::select(Arc::clone(&matrix), 1));
+            assert_eq!(
+                response.shard, home,
+                "an idle pool routes to the home shard"
+            );
+        }
         let stats = pool.stats();
         assert_eq!(stats.shards[home].completed, 10);
         assert_eq!(stats.completed(), 10);
-        // One miss on the home shard, nine replays; other shards untouched.
+        // One miss pool-wide, nine replays.
         assert_eq!(stats.engine().plan_misses, 1);
         assert_eq!(stats.engine().plan_hits, 9);
-        for (index, shard) in stats.shards.iter().enumerate() {
-            if index != home {
-                assert_eq!(shard.engine, EngineStats::default());
-                assert_eq!(shard.cached_plans, 0);
-            }
-        }
     }
 
     #[test]
     fn value_mutation_never_re_homes_a_matrix() {
         let (pool, _engine, entries) = pool_and_corpus(4);
         let mut matrix = entries[0].matrix.clone();
-        let home = pool.shard_for(&matrix);
+        let home = (matrix.sparsity_fingerprint() % 4) as usize;
+        let first = serve_idle(&pool, ServingRequest::select(Arc::new(matrix.clone()), 19));
         let shifted: Vec<f64> = matrix.values().iter().map(|v| v * 3.0 - 1.0).collect();
         matrix.update_values(&shifted).expect("same-length values");
+        let mutated = serve_idle(&pool, ServingRequest::select(Arc::new(matrix), 19));
+        assert_eq!(first.shard, home);
         assert_eq!(
-            pool.shard_for(&matrix),
-            home,
+            mutated.shard, home,
             "a value-only mutation must keep the matrix on its warm home shard"
         );
+        // ...and replay its cached plan.
+        assert_eq!(mutated.selection, first.selection);
+        assert_eq!(pool.stats().engine().plan_misses, 1);
     }
 
     #[test]
@@ -3269,7 +3234,7 @@ mod tests {
         );
 
         let stats = pool.stats();
-        assert!(stats.router.is_some());
+        assert!(stats.router.is_none(), "the pool engine is the router");
         let lanes = stats.devices();
         assert_eq!(lanes.iter().map(|l| l.shards).sum::<usize>(), pool.shards());
         assert_eq!(
@@ -3280,8 +3245,7 @@ mod tests {
             lanes.iter().map(|l| l.completed).sum::<u64>(),
             stats.completed()
         );
-        // Shard engines served exactly the submitted requests; router
-        // selections are routing work and stay out of the aggregate.
+        // One selection per request, made on the pool engine at routing.
         assert_eq!(stats.engine().selections(), requests.len() as u64);
         pool.shutdown();
     }
@@ -3299,7 +3263,11 @@ mod tests {
         }
         assert!(ticket.is_done(), "is_done is idempotent");
         let response = ticket.wait().expect("healthy worker");
-        assert_eq!(response.shard, pool.shard_for(&entries[0].matrix));
+        // The first request on an idle pool lands on its home shard.
+        assert_eq!(
+            response.shard,
+            (entries[0].matrix.sparsity_fingerprint() % 2) as usize
+        );
 
         // wait_timeout: a response observed within the timeout stays owned.
         let mut ticket = pool.submit(ServingRequest::select(
@@ -3630,7 +3598,7 @@ mod tests {
     fn add_device_expands_a_running_pool() {
         let (pool, _engine, entries) = pool_and_corpus(2);
         assert_eq!(pool.shards(), 2);
-        assert!(pool.stats().router.is_none());
+        assert_eq!(pool.stats().devices().len(), 1);
         let before: Vec<Ticket> = entries
             .iter()
             .take(4)
@@ -3641,9 +3609,10 @@ mod tests {
             .add_device(seer_gpu::GpuSpec::mi100())
             .expect("valid preset spec");
         assert_eq!(pool.shards(), 4, "two more shards pinned to the joiner");
-        assert!(
-            pool.stats().router.is_some(),
-            "a formerly single-device pool gains a router on join"
+        assert_eq!(
+            pool.stats().devices().len(),
+            2,
+            "the joiner's shard group is published on join"
         );
 
         let after: Vec<Ticket> = entries
@@ -3775,7 +3744,8 @@ mod tests {
         assert_eq!(stats.expired(), 1);
         assert_eq!(stats.admission.expired, 1);
         assert_eq!(stats.shards[shard].expired, 1);
-        // Expired work never executed: only the gate request selected.
+        // Routing selected the doomed request once when it was admitted; it
+        // expired in the queue and nothing re-selected it.
         assert_eq!(stats.engine().selections(), selections_before + 1);
         // Balance: served + expired partition completed exactly.
         assert_eq!(stats.completed(), 2);
@@ -4222,8 +4192,8 @@ mod tests {
         assert_eq!(stats.routing.mean_batch_size(), burst as f64);
         assert_eq!(
             stats.engine().selections(),
-            2,
-            "one selection for the gate job, one shared by the whole run"
+            burst as u64 + 1,
+            "one selection per request, made at routing; the run activates once"
         );
     }
 
@@ -4300,6 +4270,7 @@ mod tests {
             .collect();
         wait_for_forwards(&pool, 6);
         std::thread::sleep(Duration::from_millis(20));
+        // Every request was selected at routing, before this snapshot.
         let selections_before = pool.stats().engine().selections();
         open(&pin);
         assert_eq!(
@@ -4313,9 +4284,9 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.expired(), 1);
         assert_eq!(stats.served(), 5);
-        // One selection for the gate job (it serves after the snapshot),
-        // one shared by the whole run — the expired head contributes zero.
-        assert_eq!(stats.engine().selections(), selections_before + 2);
+        // Serving the run selected nothing more, and activating its plan on
+        // a later batchmate did not re-select for the expired head.
+        assert_eq!(stats.engine().selections(), selections_before);
         // The doomed job was coalesced into the run before it was shed.
         assert_eq!(stats.routing.batched_requests, 5);
         assert_eq!(stats.routing.batch_activations, 1);
@@ -4644,5 +4615,138 @@ mod tests {
         assert_eq!(stats.routing.batched_requests, 2 * burst);
         assert_eq!(stats.device_failures(), 2 * burst);
         assert_balanced(&stats);
+    }
+
+    #[test]
+    fn fleet_pool_selects_each_request_once_pool_wide() {
+        // Fresh matrices through an inline 2-device pool: one plan miss and
+        // one preparation per matrix, summed over every engine the pool
+        // owns.
+        let entries = generate(&CollectionConfig::tiny());
+        let (trained, _outcome) =
+            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
+        let fleet = Fleet::of_specs(Fleet::reference_presets().into_iter().take(2))
+            .expect("presets validate");
+        let pool =
+            ServingPool::with_fleet(fleet, trained.models_handle(), PoolConfig::with_shards(2));
+        let mut rng = seer_sparse::SplitMix64::new(0x5E1EC7);
+        let fresh = 12;
+        for _ in 0..fresh {
+            let matrix = Arc::new(seer_sparse::generators::uniform_random(
+                400, 400, 0.02, &mut rng,
+            ));
+            let x = Arc::new(vec![1.0; matrix.cols()]);
+            let response = pool
+                .submit(ServingRequest::execute(matrix, x, 19))
+                .wait()
+                .expect("healthy worker");
+            assert!(response.result.is_some());
+        }
+        let stats = pool.shutdown();
+        let owned = stats
+            .router
+            .unwrap_or_default()
+            .saturating_add(stats.engine());
+        assert_eq!(owned.plan_misses, fresh, "one selection per request");
+        assert_eq!(owned.plan_preparations, fresh);
+    }
+
+    #[test]
+    fn an_idle_worker_serves_past_a_pinned_shard() {
+        // Work conservation: with one worker pinned on a gate, a request on
+        // the gate's own fingerprint goes to the idle shard instead of
+        // queueing behind the gate.
+        let (pool, _engine, entries) = pool_and_corpus(2);
+        let matrix = Arc::new(entries[0].matrix.clone());
+        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
+        let pinned = pool.submit(pin_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        let x = Arc::new(vec![1.0; matrix.cols()]);
+        let mut ticket = pool.submit(ServingRequest::execute(Arc::clone(&matrix), x, 19));
+        let served = ticket
+            .wait_timeout(Duration::from_secs(10))
+            .expect("healthy worker")
+            .cloned();
+        let gate_was_closed = !pinned.is_done();
+        // Open before asserting, so a failure cannot leave the pinned
+        // worker blocking the pool's drop.
+        open(&pin);
+        let response = served.expect("the idle shard must serve while the gate is still closed");
+        assert!(gate_was_closed);
+        assert_ne!(response.shard, pinned.shard());
+        assert!(pinned.wait().is_ok());
+        pool.shutdown();
+    }
+
+    #[test]
+    fn billing_does_not_depend_on_the_serving_shard() {
+        // Two gates pin both workers of a routed 2-shard pool — the second
+        // gate finds the first one's shard busier — so a burst of identical
+        // execute requests alternates between the two queues by length.
+        // Whichever shard serves each request, selection, result bits and
+        // billed time match a sequential replay: the first admitted request
+        // carries the miss, the rest are pure kernel time.
+        let entries = generate(&CollectionConfig::tiny());
+        let (engine, _outcome) =
+            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
+        let pool = ServingPool::from_engine(
+            &engine,
+            PoolConfig::with_shards(2).with_routing(Some(RoutingConfig::default())),
+        );
+        let replay = SeerEngine::new(engine.gpu_handle(), engine.models_handle());
+        let gated = Arc::new(entries[0].matrix.clone());
+        let (first_pin, first_gate) = gate_request(Arc::clone(&gated));
+        let (second_pin, second_gate) = gate_request(gated);
+        let pins = [pool.submit(first_pin), pool.submit(second_pin)];
+        let mut rng = seer_sparse::SplitMix64::new(0xB111);
+        let matrix = Arc::new(seer_sparse::generators::uniform_random(
+            500, 500, 0.02, &mut rng,
+        ));
+        let x = Arc::new(vec![0.25; matrix.cols()]);
+        let burst = 6;
+        let tickets: Vec<Ticket> = (0..burst)
+            .map(|_| {
+                pool.submit(ServingRequest::execute(
+                    Arc::clone(&matrix),
+                    Arc::clone(&x),
+                    7,
+                ))
+            })
+            .collect();
+        wait_for_forwards(&pool, burst as u64 + 2);
+        open(&first_gate);
+        open(&second_gate);
+        let responses: Vec<ServingResponse> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("healthy worker"))
+            .collect();
+        for pin in pins {
+            assert!(pin.wait().is_ok());
+        }
+        let shards: std::collections::HashSet<usize> = responses.iter().map(|r| r.shard).collect();
+        assert_eq!(shards.len(), 2, "the burst spreads over both workers");
+        for (index, response) in responses.iter().enumerate() {
+            let reference = replay.execute(&matrix, &x, 7);
+            assert_eq!(response.selection, reference.selection);
+            assert_eq!(
+                response.result.as_deref(),
+                Some(reference.result.as_slice()),
+                "request {index} diverged numerically on shard {}",
+                response.shard
+            );
+            assert_eq!(
+                response.total_time,
+                Some(reference.total_time),
+                "request {index} was billed differently on shard {}",
+                response.shard
+            );
+        }
+        let times: Vec<SimTime> = responses.iter().map(|r| r.total_time.unwrap()).collect();
+        assert!(
+            times[0] > times[1],
+            "the first admitted request carries the miss"
+        );
+        assert!(times[1..].windows(2).all(|w| w[0] == w[1]));
+        pool.shutdown();
     }
 }

@@ -29,6 +29,9 @@ enum Field {
     Pattern,
 }
 
+/// Most entries [`read_coo`] reserves room for before reading any.
+const MAX_RESERVED_ENTRIES: usize = 1 << 16;
+
 /// Reads a MatrixMarket coordinate file into a [`CooMatrix`].
 ///
 /// Symmetric and skew-symmetric files are expanded to their full (general)
@@ -92,7 +95,11 @@ pub fn read_coo<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
     let cols = parse_usize(dims[1], size_line_no)?;
     let declared_nnz = parse_usize(dims[2], size_line_no)?;
 
-    let mut coo = CooMatrix::with_capacity(rows, cols, declared_nnz);
+    // The header is untrusted: reserve for at most a bounded number of
+    // entries and let the triplets grow from what the file really holds, so
+    // an absurd declared count ends in the mismatch error below instead of
+    // an allocation failure.
+    let mut coo = CooMatrix::with_capacity(rows, cols, declared_nnz.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for (idx, line) in lines {
         let line = line?;
@@ -322,6 +329,15 @@ mod tests {
         let content = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let err = read_csr(content.as_bytes()).unwrap_err();
         assert!(matches!(err, SparseError::Parse { .. }));
+    }
+
+    #[test]
+    fn absurd_declared_entry_count_is_a_parse_error() {
+        let content = "%%MatrixMarket matrix coordinate real general\n\
+            1 1 9999999999999999\n\
+            1 1 1.0\n";
+        let err = read_csr(content.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
     }
 
     #[test]

@@ -124,8 +124,8 @@ fn retire_drains_a_gated_backlog_onto_survivors_exactly_once() {
         .expect("the gate was routed somewhere")
         .device;
 
-    // Same fingerprint + iterations => same shard: the backlog queues behind
-    // the gated worker on the victim's lane.
+    // Same fingerprint + iterations => same selection, so the backlog
+    // queues on the victim's lane — one shard, behind the gated worker.
     let backlog_tickets =
         pool.submit_batch((0..BACKLOG).map(|_| ServingRequest::select(Arc::clone(&matrix), 19)));
     assert_eq!(
@@ -197,10 +197,19 @@ fn retire_drains_a_gated_backlog_onto_survivors_exactly_once() {
     assert_eq!(victim_lane.migrated, 1 + BACKLOG as u64);
     assert_eq!(victim_lane.completed, 1 + BACKLOG as u64);
     assert_eq!(victim_lane.failed, 0);
-    // Exactly-once re-preparation: the migrated plan was computed once on
-    // the drained worker's engine and every other backlog request hit it.
+    // Exactly-once computation: the plan was computed once pool-wide, at
+    // routing, and never again. The victim's lane holds the routing
+    // selections made while it was live (the gate's miss, the backlog's
+    // hits); every re-selection after the retire replayed the cached plan
+    // onto a survivor.
+    assert_eq!(stats.engine().plan_misses, 1);
     assert_eq!(victim_lane.engine.plan_misses, 1);
     assert_eq!(victim_lane.engine.plan_hits, BACKLOG as u64);
+    assert_eq!(
+        stats.engine().plan_hits,
+        BACKLOG as u64 + (1 + BACKLOG as u64) + 1,
+        "backlog routing, one re-selection per migrated request, the post-retire request"
+    );
     assert_eq!(stats.completed(), 2 + BACKLOG as u64);
     assert_eq!(stats.queue_depth(), 0);
     assert_eq!(stats.failed(), 0);

@@ -145,8 +145,8 @@ fn pool_shards_attribute_profile_passes_to_their_own_engines() {
     }
     pool.drain();
     let stats = pool.stats();
-    // One home shard did all the work: one plan miss, one profiling pass,
-    // seven replays with zero passes.
+    // The pool engine did all the selection work: one plan miss, one
+    // profiling pass, seven replays with zero passes.
     assert_eq!(stats.engine().plan_misses, 1);
     assert_eq!(stats.engine().plan_hits, 7);
     assert_eq!(

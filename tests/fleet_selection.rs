@@ -231,12 +231,19 @@ fn per_device_pool_stats_sum_to_the_aggregates() {
         lanes.iter().map(|l| l.queue_depth()).sum::<u64>(),
         stats.queue_depth()
     );
+    // The lanes' engine counters are the pool engine's per-device
+    // breakdown: its device-attributable counters sum to the aggregate.
     let engine_sum = lanes
         .iter()
         .fold(seer::EngineStats::default(), |acc, lane| {
             acc.saturating_add(lane.engine)
         });
-    assert_eq!(engine_sum, stats.engine());
+    let engine = stats.engine();
+    assert_eq!(engine_sum.plan_hits, engine.plan_hits);
+    assert_eq!(engine_sum.plan_misses, engine.plan_misses);
+    assert_eq!(engine_sum.plan_preparations, engine.plan_preparations);
+    assert_eq!(engine_sum.resident_plan_bytes, engine.resident_plan_bytes);
+    assert_eq!(engine_sum.selections(), 40);
     assert_eq!(stats.completed(), 40);
     assert_eq!(stats.queue_depth(), 0);
     // Each shard's reported device matches its lane membership.

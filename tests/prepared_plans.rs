@@ -229,8 +229,8 @@ fn pool_shards_prepare_a_hot_matrix_once_pool_wide() {
         .into_iter()
         .map(|t| t.wait().expect("healthy worker"))
         .collect();
-    // Home-shard routing: the hot matrix is prepared exactly once pool-wide,
-    // and every response is bit-identical.
+    // One pool engine: the hot matrix is prepared exactly once pool-wide,
+    // whichever shards serve it, and every response is bit-identical.
     let stats = pool.stats();
     assert_eq!(stats.engine().plan_preparations, 1);
     let first = responses[0].result.as_ref().unwrap();
