@@ -5,20 +5,26 @@
 //! re-walked the decision trees on every call. A production deployment of
 //! Seer faces the opposite traffic shape: the same matrices come back over
 //! and over (iterative solvers, request fleets hitting shared operators), so
-//! the engine memoizes per-matrix work behind the *sparsity* fingerprint
-//! ([`seer_sparse::CsrMatrix::sparsity_fingerprint`]) — every cached
-//! artifact (profile, features, selection, cost model, prepared structure)
-//! is a function of the sparsity pattern alone, so a value-only mutation
-//! through [`seer_sparse::CsrMatrix::update_values`] keeps the entire warm
-//! path warm:
+//! the engine memoizes per-matrix work in one cache entry per *sparsity*
+//! fingerprint ([`seer_sparse::CsrMatrix::sparsity_fingerprint`]) — every
+//! cached artifact is a function of the sparsity pattern alone, so a
+//! value-only mutation through [`seer_sparse::CsrMatrix::update_values`]
+//! keeps the entire warm path warm. An entry holds:
 //!
-//! * **feature cache** — the gathered-feature collection (statistics + the
-//!   modelled GPU cost of collecting them) is computed once per distinct
-//!   sparsity pattern;
-//! * **plan cache** — the full [`Selection`] for a `(sparsity, iterations,
-//!   policy)` triple is computed once and replayed bit-identically on every
-//!   later request, including requests presenting the same structure with
-//!   mutated values.
+//! * the fused [`MatrixProfile`], computed once per distinct pattern and
+//!   shared by every device's cost models;
+//! * the gathered-feature collection (statistics + the modelled GPU cost of
+//!   collecting them), computed once per distinct pattern;
+//! * the **plan cache**: the full [`Selection`] per `(iterations, policy)`,
+//!   computed once and replayed bit-identically on every later request,
+//!   including requests presenting the same structure with mutated values;
+//! * per `(device, kernel)`, the kernel's modelled costs and its prepared
+//!   plan — the materialized preprocessing structure the warm path replays.
+//!
+//! Every execute entry point runs one sequence: select (one cache lookup),
+//! pin the plan and costs (one more), compute, bill. A [`PlanActivation`]
+//! carries the pinned plan and costs, so a serving worker replaying it for a
+//! run of same-fingerprint requests does no cache lookup at all.
 //!
 //! The one values-dependent artifact — the ELL slab a prepared plan may
 //! embed — carries its own values key and is *refreshed* in place (no
@@ -48,11 +54,11 @@
 //! overhead + preprocessing + iterations x per-iteration) on **every** fleet
 //! device through the per-device cost models, returning the `(kernel,
 //! device)` pair with the minimum — ties break toward the lowest
-//! [`DeviceId`], so placement is deterministic. Device-dependent caches
-//! (kernel costs, prepared plans) are keyed by `(fingerprint, device,
-//! kernel)`; the fused [`MatrixProfile`] is device-independent and stays
-//! keyed by fingerprint alone, so a fleet-wide ranking still performs
-//! exactly one profiling pass per matrix.
+//! [`DeviceId`], so placement is deterministic. Device-dependent artifacts
+//! (kernel costs, prepared plans) sit under `(device, kernel)` inside the
+//! fingerprint's entry; the fused [`MatrixProfile`] is device-independent,
+//! so a fleet-wide ranking still performs exactly one profiling pass per
+//! matrix.
 //!
 //! # Example: share one engine across threads
 //!
@@ -84,10 +90,9 @@
 //! # }
 //! ```
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, SimTime};
 use seer_kernels::{kernel, ComputeScratch, KernelId, KernelProfile, PreparedPlan};
@@ -100,10 +105,10 @@ use crate::inference::{inference_overhead, ExecutionOutcome, Selection, Selectio
 use crate::training::{train, SeerModels, TrainingConfig, TrainingOutcome};
 use crate::SeerError;
 
-/// Cache key of one memoized selection plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    fingerprint: u64,
+/// What one memoized selection is cached under within its fingerprint's
+/// [`FingerprintEntry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SelectionKey {
     iterations: usize,
     policy: SelectionPolicy,
 }
@@ -403,9 +408,9 @@ pub struct EngineStats {
     /// to the default kernel. Always zero for correctly trained models.
     pub misprediction_fallbacks: u64,
     /// Prepared execution plans actually built (one per
-    /// `(fingerprint, kernel)` cache miss; replays build none). A plan-cache
-    /// miss that executes performs exactly one preparation; a hit performs
-    /// zero.
+    /// `(fingerprint, device, kernel)` cache miss; replays build none). A
+    /// plan-cache miss that executes performs exactly one preparation; a hit
+    /// performs zero.
     pub plan_preparations: u64,
     /// Cache entries dropped by the eviction policy: prepared plans evicted
     /// by the byte budget plus per-fingerprint entries dropped by a budgeted
@@ -469,48 +474,11 @@ impl EngineStats {
     }
 
     /// Component-wise saturating sum, for aggregating snapshots of several
-    /// engines or devices.
+    /// engines or devices. The drift gauge combines by `max` — the
+    /// aggregate's worst drift, not a sum that would scale with the number
+    /// of snapshots.
     pub fn saturating_add(self, other: EngineStats) -> EngineStats {
-        EngineStats {
-            plan_hits: self.plan_hits.saturating_add(other.plan_hits),
-            plan_misses: self.plan_misses.saturating_add(other.plan_misses),
-            feature_collections: self
-                .feature_collections
-                .saturating_add(other.feature_collections),
-            profile_passes: self.profile_passes.saturating_add(other.profile_passes),
-            misprediction_fallbacks: self
-                .misprediction_fallbacks
-                .saturating_add(other.misprediction_fallbacks),
-            plan_preparations: self
-                .plan_preparations
-                .saturating_add(other.plan_preparations),
-            cache_evictions: self.cache_evictions.saturating_add(other.cache_evictions),
-            plan_value_refreshes: self
-                .plan_value_refreshes
-                .saturating_add(other.plan_value_refreshes),
-            class_hits: self.class_hits.saturating_add(other.class_hits),
-            inherited_selections: self
-                .inherited_selections
-                .saturating_add(other.inherited_selections),
-            class_evictions: self.class_evictions.saturating_add(other.class_evictions),
-            timing_observations: self
-                .timing_observations
-                .saturating_add(other.timing_observations),
-            corrections_applied: self
-                .corrections_applied
-                .saturating_add(other.corrections_applied),
-            explored_selections: self
-                .explored_selections
-                .saturating_add(other.explored_selections),
-            // A gauge: the aggregate's worst drift is the max over the
-            // summed snapshots, not a sum that would scale with their count.
-            correction_drift_millilog: self
-                .correction_drift_millilog
-                .max(other.correction_drift_millilog),
-            resident_plan_bytes: self
-                .resident_plan_bytes
-                .saturating_add(other.resident_plan_bytes),
-        }
+        self.zip(other, u64::saturating_add, u64::max)
     }
 
     /// Component-wise saturating difference against an `earlier` snapshot.
@@ -519,43 +487,40 @@ impl EngineStats {
     /// reset, the naive subtraction would underflow; saturation clamps each
     /// component at zero instead.
     pub fn saturating_sub(self, earlier: EngineStats) -> EngineStats {
+        self.zip(earlier, u64::saturating_sub, u64::saturating_sub)
+    }
+
+    /// Combines two snapshots field by field: every counter and the resident
+    /// bytes through `count`, the drift gauge through `gauge`.
+    fn zip(
+        self,
+        other: EngineStats,
+        count: fn(u64, u64) -> u64,
+        gauge: fn(u64, u64) -> u64,
+    ) -> EngineStats {
         EngineStats {
-            plan_hits: self.plan_hits.saturating_sub(earlier.plan_hits),
-            plan_misses: self.plan_misses.saturating_sub(earlier.plan_misses),
-            feature_collections: self
-                .feature_collections
-                .saturating_sub(earlier.feature_collections),
-            profile_passes: self.profile_passes.saturating_sub(earlier.profile_passes),
-            misprediction_fallbacks: self
-                .misprediction_fallbacks
-                .saturating_sub(earlier.misprediction_fallbacks),
-            plan_preparations: self
-                .plan_preparations
-                .saturating_sub(earlier.plan_preparations),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            plan_value_refreshes: self
-                .plan_value_refreshes
-                .saturating_sub(earlier.plan_value_refreshes),
-            class_hits: self.class_hits.saturating_sub(earlier.class_hits),
-            inherited_selections: self
-                .inherited_selections
-                .saturating_sub(earlier.inherited_selections),
-            class_evictions: self.class_evictions.saturating_sub(earlier.class_evictions),
-            timing_observations: self
-                .timing_observations
-                .saturating_sub(earlier.timing_observations),
-            corrections_applied: self
-                .corrections_applied
-                .saturating_sub(earlier.corrections_applied),
-            explored_selections: self
-                .explored_selections
-                .saturating_sub(earlier.explored_selections),
-            correction_drift_millilog: self
-                .correction_drift_millilog
-                .saturating_sub(earlier.correction_drift_millilog),
-            resident_plan_bytes: self
-                .resident_plan_bytes
-                .saturating_sub(earlier.resident_plan_bytes),
+            plan_hits: count(self.plan_hits, other.plan_hits),
+            plan_misses: count(self.plan_misses, other.plan_misses),
+            feature_collections: count(self.feature_collections, other.feature_collections),
+            profile_passes: count(self.profile_passes, other.profile_passes),
+            misprediction_fallbacks: count(
+                self.misprediction_fallbacks,
+                other.misprediction_fallbacks,
+            ),
+            plan_preparations: count(self.plan_preparations, other.plan_preparations),
+            cache_evictions: count(self.cache_evictions, other.cache_evictions),
+            plan_value_refreshes: count(self.plan_value_refreshes, other.plan_value_refreshes),
+            class_hits: count(self.class_hits, other.class_hits),
+            inherited_selections: count(self.inherited_selections, other.inherited_selections),
+            class_evictions: count(self.class_evictions, other.class_evictions),
+            timing_observations: count(self.timing_observations, other.timing_observations),
+            corrections_applied: count(self.corrections_applied, other.corrections_applied),
+            explored_selections: count(self.explored_selections, other.explored_selections),
+            correction_drift_millilog: gauge(
+                self.correction_drift_millilog,
+                other.correction_drift_millilog,
+            ),
+            resident_plan_bytes: count(self.resident_plan_bytes, other.resident_plan_bytes),
         }
     }
 }
@@ -576,6 +541,29 @@ struct Counters {
     timing_observations: AtomicU64,
     corrections_applied: AtomicU64,
     explored_selections: AtomicU64,
+}
+
+impl Counters {
+    fn reset(&self) {
+        for counter in [
+            &self.plan_hits,
+            &self.plan_misses,
+            &self.feature_collections,
+            &self.profile_passes,
+            &self.misprediction_fallbacks,
+            &self.plan_preparations,
+            &self.cache_evictions,
+            &self.plan_value_refreshes,
+            &self.class_hits,
+            &self.inherited_selections,
+            &self.class_evictions,
+            &self.timing_observations,
+            &self.corrections_applied,
+            &self.explored_selections,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Device-attributable counters, one set per fleet device.
@@ -603,93 +591,220 @@ impl DeviceCounters {
     }
 }
 
-/// Cache key of one prepared execution plan: matrix content, target device,
-/// kernel. Prepared structures are functionally device-independent today,
-/// but the key carries the device so per-device layouts (and per-device
-/// eviction accounting) stay possible without another re-keying.
-type PreparedKey = (u64, DeviceId, KernelId);
+/// The cached state of one `(device, kernel)` pair of one sparsity pattern:
+/// the kernel's iteration-independent costs on that device and its prepared
+/// plan, each filled on first need. Prepared structures are functionally
+/// device-independent today, but the slot carries the device so per-device
+/// layouts (and per-device eviction accounting) stay possible.
+#[derive(Debug)]
+struct KernelSlot {
+    device: DeviceId,
+    kernel: KernelId,
+    /// Whether `costs` holds the pair's modelled costs yet: a plan may be
+    /// prepared before the pair is ever priced. (A flag rather than an
+    /// `Option` keeps the slot 8 bytes smaller, paid per fingerprint.)
+    priced: bool,
+    costs: KernelCosts,
+    plan: Option<Arc<PreparedPlan>>,
+    /// Logical-clock stamp of the plan's last use, for LRU eviction. Atomic
+    /// so a warm pin stamps it under the read lock; it orders evictions and
+    /// publishes no other data, hence `Relaxed`.
+    last_used: AtomicU64,
+}
 
-/// Byte-accounted LRU cache of prepared execution plans, keyed by
-/// [`PreparedKey`].
+/// Everything the engine caches about one sparsity pattern. Each part is a
+/// function of the sparsity arrays alone (the one values-dependent artifact,
+/// an ELL slab inside a prepared plan, carries its own values key), so a
+/// value-only mutation keeps the whole entry warm.
 ///
-/// Guarded by one mutex held only for map operations: the warm path pays a
-/// short lock + `HashMap` lookup + `Arc` clone (no allocation), and cold
-/// builds run unlocked (see [`SeerEngine::prepared_plan`] for the
-/// insert-race resolution). Eviction is least-recently-used by a logical
-/// clock, driven purely by the byte budget — the most recently used plan is
-/// never evicted, so a single plan larger than the budget still serves (the
-/// cache simply holds that one plan).
-#[derive(Debug)]
-struct PreparedCache {
-    map: HashMap<PreparedKey, PreparedEntry>,
-    bytes: usize,
-    budget: usize,
-    clock: u64,
+/// The lists hold a handful of items and grow by one exact allocation at a
+/// time: an entry is retained per distinct matrix, so spare capacity would
+/// be paid per fingerprint.
+#[derive(Debug, Default)]
+struct FingerprintEntry {
+    /// The fused profile, shared by every device's cost models, so a
+    /// fleet-wide ranking profiles the matrix once.
+    profile: Option<Arc<MatrixProfile>>,
+    /// The gathered-feature collection, modelled on the default device.
+    /// Boxed because most fingerprints never take the gathered path.
+    features: Option<Box<FeatureCollection>>,
+    /// Selections by `(iterations, policy)`.
+    selections: Box<[(SelectionKey, Selection)]>,
+    /// Kernel costs and prepared plans by `(device, kernel)`.
+    kernels: Box<[KernelSlot]>,
 }
 
-#[derive(Debug)]
-struct PreparedEntry {
-    plan: Arc<PreparedPlan>,
-    last_used: u64,
+impl FingerprintEntry {
+    fn selection(&self, key: SelectionKey) -> Option<Selection> {
+        self.selections
+            .iter()
+            .find(|(cached, _)| *cached == key)
+            .map(|(_, selection)| *selection)
+    }
+
+    fn kernel_index(&self, device: DeviceId, kernel: KernelId) -> Option<usize> {
+        let mut slots = self.kernels.iter();
+        slots.position(|slot| slot.device == device && slot.kernel == kernel)
+    }
+
+    /// The slot of `(device, kernel)`, appended empty on first use.
+    fn kernel_or_insert(&mut self, device: DeviceId, kernel: KernelId) -> &mut KernelSlot {
+        let index = self.kernel_index(device, kernel).unwrap_or_else(|| {
+            let slot = KernelSlot {
+                device,
+                kernel,
+                priced: false,
+                costs: KernelCosts::default(),
+                plan: None,
+                last_used: AtomicU64::new(0),
+            };
+            push_exact(&mut self.kernels, slot);
+            self.kernels.len() - 1
+        });
+        &mut self.kernels[index]
+    }
+
+    /// Cached items no single device owns — selections, the feature
+    /// collection, the profile and kernel costs — which evictions count in
+    /// the aggregate alone.
+    fn shared_items(&self) -> u64 {
+        let costs = self.kernels.iter().filter(|slot| slot.priced);
+        (self.selections.len()
+            + usize::from(self.features.is_some())
+            + usize::from(self.profile.is_some())
+            + costs.count()) as u64
+    }
+
+    /// The devices of the prepared plans this entry holds, one per plan.
+    fn plan_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
+        self.kernels
+            .iter()
+            .filter(|slot| slot.plan.is_some())
+            .map(|slot| slot.device)
+    }
 }
 
-impl PreparedCache {
+/// Appends one item to an exact-size list.
+fn push_exact<T>(list: &mut Box<[T]>, item: T) {
+    let mut grown = std::mem::take(list).into_vec();
+    grown.reserve_exact(1);
+    grown.push(item);
+    *list = grown.into_boxed_slice();
+}
+
+/// The engine's per-matrix cache: one [`FingerprintEntry`] per sparsity
+/// fingerprint, behind one `RwLock` that is held only for map operations
+/// and never together with another engine lock. Warm lookups take the read
+/// side; installs, evictions and sweeps the write side. Cold builds run
+/// unlocked (see [`SeerEngine::prepared_plan_on`] for how install races
+/// resolve).
+///
+/// Two bounds keep it finite. Prepared plans are byte-accounted and evicted
+/// least-recently-used by a logical clock, driven purely by the byte budget;
+/// the plan just installed or used is never the victim, so a single plan
+/// larger than the budget still serves. And once a selection install leaves
+/// more fingerprints cached than the fingerprint budget, every entry is
+/// swept in one pass.
+#[derive(Debug)]
+struct FingerprintCache {
+    entries: HashMap<u64, FingerprintEntry>,
+    /// Heap bytes held by cached prepared plans.
+    plan_bytes: usize,
+    plan_budget: usize,
+    fingerprint_budget: usize,
+    /// The LRU clock stamping prepared-plan use (see
+    /// [`KernelSlot::last_used`]).
+    clock: AtomicU64,
+}
+
+impl FingerprintCache {
     /// Default prepared-plan byte budget: 64 MiB, far above anything the
     /// test corpora materialize, so eviction only engages under adversarial
     /// traffic or an explicit tighter budget.
-    const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
+    const DEFAULT_PLAN_BUDGET: usize = 64 << 20;
 
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
-            bytes: 0,
-            budget: Self::DEFAULT_BUDGET_BYTES,
-            clock: 0,
+            entries: HashMap::new(),
+            plan_bytes: 0,
+            plan_budget: Self::DEFAULT_PLAN_BUDGET,
+            fingerprint_budget: SeerEngine::DEFAULT_FINGERPRINT_BUDGET as usize,
+            clock: AtomicU64::new(0),
         }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Evicts least-recently-used plans (never `keep`) until the byte budget
-    /// is met. Returns the evicted keys (empty in the common under-budget
-    /// case), so the caller can attribute each eviction to its device.
-    fn evict_to_budget(&mut self, keep: Option<PreparedKey>) -> Vec<PreparedKey> {
+    fn slots(&self) -> impl Iterator<Item = &KernelSlot> {
+        self.entries.values().flat_map(|entry| entry.kernels.iter())
+    }
+
+    /// The cached costs of one `(device, kernel)` slot and, when `use_plan`,
+    /// its prepared plan if that is current for `matrix`'s values (stamping
+    /// the plan's use).
+    fn lookup(
+        &self,
+        matrix: &CsrMatrix,
+        device: DeviceId,
+        kernel: KernelId,
+        use_plan: bool,
+    ) -> (Option<KernelCosts>, Option<Arc<PreparedPlan>>) {
+        let entry = self.entries.get(&matrix.sparsity_fingerprint());
+        let found =
+            entry.and_then(|entry| Some(&entry.kernels[entry.kernel_index(device, kernel)?]));
+        let Some(slot) = found else {
+            return (None, None);
+        };
+        let plan = match &slot.plan {
+            Some(plan) if use_plan && plan.values_current(matrix) => {
+                slot.last_used.store(self.tick(), Ordering::Relaxed);
+                Some(Arc::clone(plan))
+            }
+            _ => None,
+        };
+        (slot.priced.then_some(slot.costs), plan)
+    }
+
+    /// Evicts least-recently-used plans until the byte budget is met, never
+    /// the most recently used one — the plan just installed or pinned.
+    /// Returns the device of each evicted plan (empty in the common
+    /// under-budget case), so the caller can attribute each eviction.
+    fn evict_plans(&mut self) -> Vec<DeviceId> {
         let mut evicted = Vec::new();
-        while self.bytes > self.budget {
+        if self.plan_bytes <= self.plan_budget {
+            return evicted;
+        }
+        let stamps = self.slots().filter(|slot| slot.plan.is_some());
+        let newest = stamps
+            .map(|slot| slot.last_used.load(Ordering::Relaxed))
+            .max();
+        while self.plan_bytes > self.plan_budget {
             let victim = self
-                .map
-                .iter()
-                .filter(|(key, _)| Some(**key) != keep)
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key);
-            let Some(key) = victim else { break };
-            if let Some(entry) = self.map.remove(&key) {
-                self.bytes -= entry.plan.heap_bytes();
-                evicted.push(key);
+                .entries
+                .values_mut()
+                .flat_map(|entry| entry.kernels.iter_mut())
+                .filter(|slot| slot.plan.is_some())
+                .map(|slot| (slot.last_used.load(Ordering::Relaxed), slot))
+                .filter(|&(stamp, _)| Some(stamp) != newest)
+                .min_by_key(|&(stamp, _)| stamp);
+            let Some((_, slot)) = victim else { break };
+            if let Some(plan) = slot.plan.take() {
+                self.plan_bytes -= plan.heap_bytes();
+                evicted.push(slot.device);
             }
         }
         evicted
     }
 
-    /// Heap bytes of cached plans bucketed by device — one pass over the
-    /// map, so snapshotting an N-device fleet holds the cache mutex for
-    /// O(cached plans), not O(devices x cached plans).
-    fn resident_bytes_by_device(&self, devices: usize) -> Vec<u64> {
-        let mut bytes = vec![0u64; devices];
-        for ((_, device, _), entry) in &self.map {
-            bytes[device.index()] += entry.plan.heap_bytes() as u64;
-        }
-        bytes
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.bytes = 0;
-        // The clock deliberately survives a clear: recency comparisons stay
-        // monotone across cache generations.
+    /// Empties the map (budgets and clock survive, so recency comparisons
+    /// stay monotone across cache generations) and hands back the dropped
+    /// entries, so the caller counts and frees them after releasing the
+    /// lock.
+    fn take_entries(&mut self) -> HashMap<u64, FingerprintEntry> {
+        self.plan_bytes = 0;
+        std::mem::take(&mut self.entries)
     }
 }
 
@@ -790,10 +905,10 @@ impl ClassIndex {
     }
 }
 
-/// Iteration-independent modelled costs of one kernel on one matrix, cached
-/// per `(fingerprint, kernel)` so steady-state execute never re-runs the
-/// O(rows) cost models.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Iteration-independent modelled costs of one kernel on one matrix and
+/// device, cached in the matrix's [`KernelSlot`] so steady-state execute
+/// never re-runs the O(rows) cost models.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct KernelCosts {
     preprocessing: SimTime,
     per_iteration: SimTime,
@@ -843,10 +958,11 @@ impl EngineWorkspace {
 /// One resolved-and-pinned execution plan, produced by
 /// [`SeerEngine::activate_plan`] and replayed by
 /// [`SeerEngine::try_execute_activated_into`]: the selection, the charged
-/// selection overhead (billed to exactly one execution), and the pinned
-/// `Arc<PreparedPlan>`. A serving worker activates once per run of
+/// selection overhead (billed to exactly one execution), the pinned
+/// `Arc<PreparedPlan>` and the `(device, kernel)` costs executions are
+/// billed from. A serving worker activates once per run of
 /// same-fingerprint requests, so a burst of K identical operators walks
-/// the plan cache once instead of K times.
+/// the cache once instead of K times.
 #[derive(Debug, Clone)]
 pub struct PlanActivation {
     /// The `(kernel, device)` selection every execution in the run replays.
@@ -854,7 +970,14 @@ pub struct PlanActivation {
     /// The selection overhead this activation's resolve actually incurred
     /// (zero on a plan-cache hit); billed to the run's first execution.
     pub charged_overhead: SimTime,
-    plan: Arc<PreparedPlan>,
+    /// The pinned plan; `None` for the streaming baseline, which re-derives
+    /// the kernel's structures on every call.
+    plan: Option<Arc<PreparedPlan>>,
+    costs: KernelCosts,
+    /// Whether executing checks device liveness. Activations handed out by
+    /// [`SeerEngine::activate_plan`] do; the one inside `execute` does not,
+    /// since `execute` cannot fail.
+    fenced: bool,
 }
 
 /// Where a selection's features come from: a live matrix (collection on
@@ -880,7 +1003,7 @@ struct SelectionCtx<'m> {
 }
 
 /// The Seer runtime engine: the three trained models bound to a device
-/// fleet, with per-matrix plan caching and batch entry points.
+/// fleet, with per-matrix caching.
 ///
 /// The engine is owned (`'static`) and `Send + Sync`; wrap it in an
 /// [`Arc`] to serve selections from many threads. See the
@@ -890,23 +1013,11 @@ pub struct SeerEngine {
     fleet: Fleet,
     models: Arc<SeerModels>,
     collector: FeatureCollector,
-    features: RwLock<HashMap<u64, FeatureCollection>>,
-    plans: RwLock<HashMap<PlanKey, Selection>>,
-    /// Fused matrix profiles keyed by content fingerprint, so repeat traffic
-    /// presenting regenerated (bit-identical) matrices never re-profiles.
-    /// Deliberately *not* keyed by device: the profile is a property of the
-    /// matrix alone and is shared by every device's cost models.
-    profiles: RwLock<HashMap<u64, Arc<MatrixProfile>>>,
-    /// Iteration-independent kernel cost models keyed by
-    /// `(fingerprint, device, kernel)`, so steady-state execute re-prices a
-    /// workload with two cached numbers instead of an O(rows) modelling
-    /// pass, and a fleet ranking re-prices every device from the cache.
-    timings: RwLock<HashMap<(u64, DeviceId, KernelId), KernelCosts>>,
-    /// Prepared execution plans keyed by `(fingerprint, device, kernel)`:
-    /// the materialized preprocessing structures the warm execute path
-    /// replays instead of re-deriving. Byte-accounted LRU, see
-    /// [`PreparedCache`].
-    prepared: Mutex<PreparedCache>,
+    /// Every per-matrix artifact — profile, features, selections, kernel
+    /// costs, prepared plans — in one entry per sparsity fingerprint, so
+    /// repeat traffic presenting regenerated or value-mutated matrices never
+    /// re-profiles, re-selects or re-prepares.
+    cache: RwLock<FingerprintCache>,
     /// Bounded structure-class index backing selection inheritance (see
     /// [`SeerEngine::set_structure_class_reuse`]); consulted only when
     /// `class_reuse` is enabled, populated by every Live from-scratch
@@ -937,17 +1048,12 @@ pub struct SeerEngine {
     /// [`Fleet::generation`] and refresh the snapshot instead of taking the
     /// roster lock on every ranking.
     live_roster: RwLock<(u64, Arc<[DeviceId]>)>,
-    /// Budgeted-clear threshold for the per-fingerprint maps (profiles,
-    /// features, plans, timings): when the engine has seen more distinct
-    /// matrix contents than this, all per-fingerprint caches are cleared in
-    /// one sweep and the dropped entries are counted as evictions.
-    fingerprint_budget: AtomicU64,
     counters: Counters,
 }
 
 impl SeerEngine {
     /// Budgeted-clear default: how many distinct matrix contents the
-    /// per-fingerprint caches hold before they are swept. Far above any test
+    /// per-fingerprint cache holds before it is swept. Far above any test
     /// corpus; long-lived services facing unbounded distinct traffic get a
     /// bounded footprint instead of monotone growth.
     pub const DEFAULT_FINGERPRINT_BUDGET: u64 = 65_536;
@@ -972,18 +1078,13 @@ impl SeerEngine {
             fleet,
             models,
             collector: FeatureCollector::new(),
-            features: RwLock::new(HashMap::new()),
-            plans: RwLock::new(HashMap::new()),
-            profiles: RwLock::new(HashMap::new()),
-            timings: RwLock::new(HashMap::new()),
-            prepared: Mutex::new(PreparedCache::new()),
+            cache: RwLock::new(FingerprintCache::new()),
             classes: Mutex::new(ClassIndex::new()),
             class_reuse: AtomicBool::new(false),
             recalibration: RwLock::new(None),
             device_counters: RwLock::new(device_counters),
             default_gpu,
             live_roster: RwLock::new(live_roster),
-            fingerprint_budget: AtomicU64::new(Self::DEFAULT_FINGERPRINT_BUDGET),
             counters: Counters::default(),
         }
     }
@@ -1039,6 +1140,14 @@ impl SeerEngine {
     /// Panics if `device` does not belong to this engine's fleet.
     pub fn device_gpu(&self, device: DeviceId) -> Arc<Gpu> {
         self.fleet.gpu(device)
+    }
+
+    fn read_cache(&self) -> RwLockReadGuard<'_, FingerprintCache> {
+        self.cache.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_cache(&self) -> RwLockWriteGuard<'_, FingerprintCache> {
+        self.cache.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The device-attributable counter cell of one fleet device, growing the
@@ -1124,11 +1233,7 @@ impl SeerEngine {
             correction_drift_millilog: self
                 .recalibration_handle()
                 .map_or(0, |recal| recal.max_drift_millilog()),
-            resident_plan_bytes: self
-                .prepared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .bytes as u64,
+            resident_plan_bytes: self.read_cache().plan_bytes as u64,
         }
     }
 
@@ -1149,10 +1254,12 @@ impl SeerEngine {
     /// after a sweep the aggregate may exceed the per-device sum by exactly
     /// those shared drops.
     pub fn device_stats(&self) -> Vec<EngineStats> {
-        let resident = {
-            let prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-            prepared.resident_bytes_by_device(self.fleet.len())
-        };
+        let mut resident = vec![0u64; self.fleet.len()];
+        for slot in self.read_cache().slots() {
+            if let Some(plan) = &slot.plan {
+                resident[slot.device.index()] += plan.heap_bytes() as u64;
+            }
+        }
         self.fleet
             .ids()
             .map(|id| {
@@ -1182,14 +1289,16 @@ impl SeerEngine {
 
     /// Number of distinct selection plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.plans
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        let cache = self.read_cache();
+        cache
+            .entries
+            .values()
+            .map(|entry| entry.selections.len())
+            .sum()
     }
 
-    /// Drops every cached plan, feature collection and prepared plan and
-    /// resets the cache counters together, so stats describe the current
+    /// Drops every cache entry and the structure-class index and resets the
+    /// cache counters together, so stats describe the current
     /// cache generation: absent concurrent in-flight selections,
     /// `plan_hits + plan_misses` equals the selections served since the last
     /// clear.
@@ -1201,56 +1310,18 @@ impl SeerEngine {
     /// totals should snapshot [`SeerEngine::stats`] before clearing and
     /// accumulate with [`EngineStats::saturating_add`].
     pub fn clear_caches(&self) {
-        // Take every write lock before touching maps or counters so a
-        // concurrent select never observes cleared maps with stale counters.
-        // Lock-order convention for any path holding several engine locks:
-        // `prepared` strictly before the RwLocks.
-        let mut prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-        let mut features = self
-            .features
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut profiles = self
-            .profiles
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut timings = self.timings.write().unwrap_or_else(PoisonError::into_inner);
-        let mut classes = self.classes.lock().unwrap_or_else(PoisonError::into_inner);
-        plans.clear();
-        features.clear();
-        profiles.clear();
-        timings.clear();
-        prepared.clear();
-        classes.clear();
-        self.counters.plan_hits.store(0, Ordering::Relaxed);
-        self.counters.plan_misses.store(0, Ordering::Relaxed);
-        self.counters
-            .feature_collections
-            .store(0, Ordering::Relaxed);
-        self.counters.profile_passes.store(0, Ordering::Relaxed);
-        self.counters
-            .misprediction_fallbacks
-            .store(0, Ordering::Relaxed);
-        self.counters.plan_preparations.store(0, Ordering::Relaxed);
-        self.counters.cache_evictions.store(0, Ordering::Relaxed);
-        self.counters
-            .plan_value_refreshes
-            .store(0, Ordering::Relaxed);
-        self.counters.class_hits.store(0, Ordering::Relaxed);
-        self.counters
-            .inherited_selections
-            .store(0, Ordering::Relaxed);
-        self.counters.class_evictions.store(0, Ordering::Relaxed);
-        self.counters
-            .timing_observations
-            .store(0, Ordering::Relaxed);
-        self.counters
-            .corrections_applied
-            .store(0, Ordering::Relaxed);
-        self.counters
-            .explored_selections
-            .store(0, Ordering::Relaxed);
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        // Reset the counters while the cache is locked, so a concurrent
+        // select never observes a cleared cache with stale counters; the
+        // dropped entries are freed once the lock is released.
+        let mut cache = self.write_cache();
+        let dropped = cache.take_entries();
+        self.counters.reset();
+        drop(cache);
+        drop(dropped);
         // Corrections are learned cache state like any other: a new
         // generation starts back at trust-the-models.
         if let Some(recal) = self.recalibration_handle() {
@@ -1266,10 +1337,10 @@ impl SeerEngine {
         }
     }
 
-    /// Narrowly invalidates every cache entry owned by one device — called
-    /// when the device retires from (or dies in) the fleet. Drops that
-    /// device's `(fingerprint, device, kernel)` kernel-cost entries and
-    /// prepared plans, and resets its learned recalibration factors to 1.0;
+    /// Narrowly invalidates everything cached for one device — called when
+    /// the device retires from (or dies in) the fleet. Drops that device's
+    /// kernel costs and prepared plans from every fingerprint's entry, and
+    /// resets its learned recalibration factors to 1.0;
     /// every other device's plans, all [`MatrixProfile`]s, feature
     /// collections and selection plans survive, so surviving devices keep
     /// their warm state. Prepared-plan drops are counted as cache evictions
@@ -1283,33 +1354,28 @@ impl SeerEngine {
     /// Panics if `device` does not belong to this engine's fleet.
     pub fn invalidate_device(&self, device: DeviceId) {
         let _ = self.fleet.status(device);
-        let dropped_timings;
-        let dropped_prepared: Vec<PreparedKey>;
+        let mut dropped_costs = 0;
+        let mut dropped_plans = Vec::new();
         {
-            // Lock order: `prepared` strictly before the RwLocks.
-            let mut prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut timings = self.timings.write().unwrap_or_else(PoisonError::into_inner);
-            let before = timings.len();
-            timings.retain(|key, _| key.1 != device);
-            dropped_timings = (before - timings.len()) as u64;
-            dropped_prepared = prepared
-                .map
-                .keys()
-                .filter(|key| key.1 == device)
-                .copied()
-                .collect();
-            for key in &dropped_prepared {
-                if let Some(entry) = prepared.map.remove(key) {
-                    prepared.bytes -= entry.plan.heap_bytes();
-                }
+            let mut guard = self.write_cache();
+            let cache = &mut *guard;
+            for entry in cache.entries.values_mut() {
+                let mut kept = std::mem::take(&mut entry.kernels).into_vec();
+                kept.retain(|slot| {
+                    if slot.device != device {
+                        return true;
+                    }
+                    dropped_costs += u64::from(slot.priced);
+                    if let Some(plan) = &slot.plan {
+                        cache.plan_bytes -= plan.heap_bytes();
+                        dropped_plans.push(device);
+                    }
+                    false
+                });
+                entry.kernels = kept.into_boxed_slice();
             }
         }
-        self.count_prepared_evictions(&dropped_prepared);
-        if dropped_timings > 0 {
-            self.counters
-                .cache_evictions
-                .fetch_add(dropped_timings, Ordering::Relaxed);
-        }
+        self.count_evictions(dropped_costs, &dropped_plans);
         // Departed devices take their learned corrections with them: a
         // factor learned for dead hardware must never steer a ranking again.
         if let Some(recal) = self.recalibration_handle() {
@@ -1322,30 +1388,28 @@ impl SeerEngine {
     /// 64 MiB; serving deployments facing adversarial matrix cardinality can
     /// tighten it to bound the engine's resident footprint.
     pub fn set_prepared_budget_bytes(&self, budget: usize) {
-        let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.budget = budget;
-        // Preserve the cache's never-evict-the-most-recent guarantee here
-        // too: even an immediate tightening leaves the hottest plan serving.
-        let newest = cache
-            .map
-            .iter()
-            .max_by_key(|(_, entry)| entry.last_used)
-            .map(|(key, _)| *key);
-        let evicted = cache.evict_to_budget(newest);
-        self.count_prepared_evictions(&evicted);
+        let evicted = {
+            let mut cache = self.write_cache();
+            cache.plan_budget = budget;
+            // Even an immediate tightening leaves the hottest plan serving.
+            cache.evict_plans()
+        };
+        self.count_evictions(0, &evicted);
     }
 
-    /// Counts prepared-plan evictions in the aggregate and attributes each
-    /// to the device in its key.
-    fn count_prepared_evictions(&self, evicted: &[PreparedKey]) {
-        if evicted.is_empty() {
+    /// Counts dropped cache items as evictions: `shared` items no device owns
+    /// in the aggregate alone, and one prepared plan per entry of
+    /// `plan_devices` both in the aggregate and against that device.
+    fn count_evictions(&self, shared: u64, plan_devices: &[DeviceId]) {
+        let total = shared + plan_devices.len() as u64;
+        if total == 0 {
             return;
         }
         self.counters
             .cache_evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        for (_, device, _) in evicted {
-            self.device_counter(*device)
+            .fetch_add(total, Ordering::Relaxed);
+        for &device in plan_devices {
+            self.device_counter(device)
                 .cache_evictions
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1353,32 +1417,25 @@ impl SeerEngine {
 
     /// Current byte budget of the prepared-plan cache.
     pub fn prepared_budget_bytes(&self) -> usize {
-        self.prepared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .budget
+        self.read_cache().plan_budget
     }
 
     /// Number of prepared plans currently cached.
     pub fn cached_prepared_plans(&self) -> usize {
-        self.prepared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .len()
+        let cache = self.read_cache();
+        cache.slots().filter(|slot| slot.plan.is_some()).count()
     }
 
-    /// Sets the budgeted-clear threshold on distinct matrix contents: once
-    /// the engine holds profiles for more than `budget` distinct
-    /// fingerprints, every per-fingerprint map (profiles, features, selection
-    /// plans, kernel costs) plus the prepared-plan cache is swept in one
-    /// clear, and the dropped entries are counted in
+    /// Sets the budgeted-clear threshold on distinct matrix contents: once a
+    /// selection install leaves more than `budget` fingerprints cached, every
+    /// cache entry (profiles, features, selections, kernel costs, prepared
+    /// plans) is swept in one pass, and the dropped items are counted in
     /// [`EngineStats::cache_evictions`]. Counters other than the eviction
     /// tally are *not* reset — unlike [`SeerEngine::clear_caches`], a
     /// budgeted clear is an eviction event, not a new stats generation.
     pub fn set_fingerprint_budget(&self, budget: u64) {
-        self.fingerprint_budget
-            .store(budget.max(1), Ordering::Relaxed);
+        let budget = usize::try_from(budget.max(1)).unwrap_or(usize::MAX);
+        self.write_cache().fingerprint_budget = budget;
     }
 
     /// Enables or disables structure-class selection inheritance.
@@ -1554,19 +1611,14 @@ impl SeerEngine {
         policy: SelectionPolicy,
     ) -> (Selection, SimTime) {
         let fingerprint = matrix.sparsity_fingerprint();
-        let key = PlanKey {
-            fingerprint,
-            iterations,
-            policy,
-        };
+        let key = SelectionKey { iterations, policy };
         let cached = self
-            .plans
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .copied();
+            .read_cache()
+            .entries
+            .get(&fingerprint)
+            .and_then(|entry| entry.selection(key));
         if let Some(plan) = cached {
-            return (self.serve_hit(plan, matrix, key), SimTime::ZERO);
+            return (self.serve_hit(plan, matrix, iterations), SimTime::ZERO);
         }
 
         let class_key = ClassKey {
@@ -1601,7 +1653,7 @@ impl SeerEngine {
                     feature_collection_cost: SimTime::ZERO,
                     inference_overhead: SimTime::ZERO,
                 };
-                return self.install_plan(key, selection, SimTime::ZERO, matrix);
+                return self.install_plan(matrix, key, selection, SimTime::ZERO);
             }
         }
 
@@ -1636,46 +1688,59 @@ impl SeerEngine {
         } else {
             selection.inference_overhead
         };
-        self.install_plan(key, selection, charged, matrix)
+        self.install_plan(matrix, key, selection, charged)
     }
 
     /// Installs a freshly decided plan and counts the miss, billed
     /// `charged` — unless a concurrent first contact installed the key
     /// first, in which case this call adopts that plan as a hit billed zero.
+    ///
+    /// A fresh install may have introduced a new distinct matrix: once more
+    /// fingerprints are cached than the fingerprint budget, the install
+    /// sweeps every entry and counts the dropped items as evictions.
     fn install_plan(
         &self,
-        key: PlanKey,
+        matrix: &CsrMatrix,
+        key: SelectionKey,
         selection: Selection,
         charged: SimTime,
-        matrix: &CsrMatrix,
     ) -> (Selection, SimTime) {
-        let adopted = {
-            let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-            match plans.entry(key) {
-                Entry::Occupied(entry) => Some(*entry.get()),
-                Entry::Vacant(slot) => {
-                    slot.insert(selection);
-                    None
+        let fingerprint = matrix.sparsity_fingerprint();
+        let (adopted, swept) = {
+            let mut cache = self.write_cache();
+            let entry = cache.entries.entry(fingerprint).or_default();
+            match entry.selection(key) {
+                Some(plan) => (Some(plan), None),
+                None => {
+                    push_exact(&mut entry.selections, (key, selection));
+                    let over = cache.entries.len() > cache.fingerprint_budget;
+                    (None, over.then(|| cache.take_entries()))
                 }
             }
         };
         if let Some(plan) = adopted {
-            return (self.serve_hit(plan, matrix, key), SimTime::ZERO);
+            return (self.serve_hit(plan, matrix, key.iterations), SimTime::ZERO);
         }
         self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
         self.device_counter(selection.device)
             .plan_misses
             .fetch_add(1, Ordering::Relaxed);
-        // A miss may have introduced a new distinct matrix; keep the
-        // per-fingerprint footprint within its budget.
-        self.enforce_fingerprint_budget();
+        if let Some(swept) = swept {
+            let shared = swept.values().map(FingerprintEntry::shared_items).sum();
+            let plans: Vec<DeviceId> = swept
+                .values()
+                .flat_map(FingerprintEntry::plan_devices)
+                .collect();
+            self.count_evictions(shared, &plans);
+        }
         (selection, charged)
     }
 
     /// Serves one cached plan ([`SeerEngine::serve_cached`]) and counts the
     /// hit against the device it placed on.
-    fn serve_hit(&self, plan: Selection, matrix: &CsrMatrix, key: PlanKey) -> Selection {
-        let served = self.serve_cached(plan, matrix, key.fingerprint, key.iterations);
+    fn serve_hit(&self, plan: Selection, matrix: &CsrMatrix, iterations: usize) -> Selection {
+        let fingerprint = matrix.sparsity_fingerprint();
+        let served = self.serve_cached(plan, matrix, fingerprint, iterations);
         self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
         self.device_counter(served.device)
             .plan_hits
@@ -1823,7 +1888,7 @@ impl SeerEngine {
     /// across requests. Returns the selection and the modelled end-to-end
     /// time; the product is available as [`EngineWorkspace::result`].
     ///
-    /// In steady state (plan, profile and timing caches warm) a call performs
+    /// In steady state (the matrix's cache entry warm) a call performs
     /// zero heap allocations — the serving hot path the `profile_selection`
     /// bench pins.
     ///
@@ -1859,23 +1924,7 @@ impl SeerEngine {
         policy: SelectionPolicy,
         workspace: &mut EngineWorkspace,
     ) -> (Selection, SimTime) {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_prepared_into(
-            &plan,
-            matrix,
-            x,
-            &mut workspace.y,
-            &mut workspace.scratch,
-        );
-        // Only the selection work that actually ran on this call is billed:
-        // nothing for a plan replay, tree walks alone when the gathered
-        // features came from the feature cache. The embedded `selection`
-        // still reports the plan's intrinsic costs.
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        (selection, charged_overhead + observed)
+        self.execute_core(matrix, x, iterations, policy, true, workspace)
     }
 
     /// Resolves the selection and pins the prepared plan for `matrix` in one
@@ -1883,9 +1932,9 @@ impl SeerEngine {
     /// [`SeerEngine::execute_with_policy_into`], split out so a serving
     /// worker can amortize it across a run of same-fingerprint requests
     /// (see [`crate::serving::RoutingConfig`]). The returned activation
-    /// holds the pinned `Arc<PreparedPlan>`; executing it via
-    /// [`SeerEngine::try_execute_activated_into`] skips the selection
-    /// resolve and the plan-cache walk entirely.
+    /// holds the pinned `Arc<PreparedPlan>` and the kernel's costs;
+    /// executing it via [`SeerEngine::try_execute_activated_into`] skips
+    /// the selection resolve and every cache lookup.
     ///
     /// # Errors
     ///
@@ -1916,23 +1965,20 @@ impl SeerEngine {
         charged_overhead: SimTime,
     ) -> Result<PlanActivation, DeviceFailed> {
         self.fleet.ensure_live(selection.device)?;
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
         Ok(PlanActivation {
-            selection,
-            charged_overhead,
-            plan,
+            fenced: true,
+            ..self.pin(matrix, selection, charged_overhead, true)
         })
     }
 
     /// Executes one request against an existing [`PlanActivation`]: the
-    /// plan replay and timing observation of
-    /// [`SeerEngine::execute_with_policy_into`], minus the selection
-    /// resolve and plan-cache walk the activation already paid, and fenced
-    /// on device liveness. `first` decides whether this execution is billed
-    /// the activation's charged selection overhead (exactly once per
-    /// activation, on the first executed request) or replays as a pure plan
-    /// hit (zero overhead) — the same billing a sequential stream of
-    /// identical requests sees.
+    /// compute and billing of [`SeerEngine::execute_with_policy_into`],
+    /// minus the selection resolve and cache lookups the activation already
+    /// paid, and fenced on device liveness. `first` decides whether this
+    /// execution is billed the activation's charged selection overhead
+    /// (exactly once per activation, on the first executed request) or
+    /// replays as a pure plan hit (zero overhead) — the same billing a
+    /// sequential stream of identical requests sees.
     ///
     /// An execution routed to a device that has failed or retired —
     /// including one killed *while the kernel was in flight* — returns a
@@ -1959,31 +2005,15 @@ impl SeerEngine {
         first: bool,
         workspace: &mut EngineWorkspace,
     ) -> Result<(Selection, SimTime), DeviceFailed> {
-        let selection = activation.selection;
-        self.fleet.ensure_live(selection.device)?;
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_prepared_into(
-            &activation.plan,
-            matrix,
-            x,
-            &mut workspace.y,
-            &mut workspace.scratch,
-        );
-        self.fleet.ensure_live(selection.device)?;
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        let charged = if first {
-            activation.charged_overhead
-        } else {
-            SimTime::ZERO
-        };
-        Ok((selection, charged + observed))
+        let total = self.compute_and_bill(activation, matrix, x, iterations, first, workspace)?;
+        Ok((activation.selection, total))
     }
 
     /// The PR-3-era streaming execute: identical selection, billing and
     /// result to [`SeerEngine::execute_with_policy_into`], but the kernel
     /// re-derives its auxiliary structures on every call instead of replaying
-    /// a prepared plan. Kept as the differential baseline the
-    /// `profile_selection` bench measures the prepared path against.
+    /// a prepared plan (and builds none). Kept as the differential baseline
+    /// the `profile_selection` bench measures the prepared path against.
     ///
     /// # Panics
     ///
@@ -1996,12 +2026,7 @@ impl SeerEngine {
         policy: SelectionPolicy,
         workspace: &mut EngineWorkspace,
     ) -> (Selection, SimTime) {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_into(matrix, x, &mut workspace.y, &mut workspace.scratch);
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        (selection, charged_overhead + observed)
+        self.execute_core(matrix, x, iterations, policy, false, workspace)
     }
 
     /// [`SeerEngine::execute_streaming_with_policy_into`] under the adaptive
@@ -2026,17 +2051,99 @@ impl SeerEngine {
         )
     }
 
-    /// The matrix's fused profile, answered from (and installed into) the
-    /// engine's per-fingerprint profile cache. Exactly one profiling pass
-    /// runs per distinct matrix content, even across regenerated values.
+    /// The one execute sequence: select (one cache lookup), pin the plan —
+    /// unless `prepared` is false, for the streaming baseline — and the
+    /// costs (one more), then compute and bill. Only the selection work
+    /// that actually ran on this call is billed: nothing for a plan replay,
+    /// tree walks alone when the gathered features came from the cache. The
+    /// returned selection still reports the plan's intrinsic costs.
+    fn execute_core(
+        &self,
+        matrix: &CsrMatrix,
+        x: &[Scalar],
+        iterations: usize,
+        policy: SelectionPolicy,
+        prepared: bool,
+        workspace: &mut EngineWorkspace,
+    ) -> (Selection, SimTime) {
+        let (selection, charged_overhead) =
+            self.select_with_policy_charged(matrix, iterations, policy);
+        let activation = self.pin(matrix, selection, charged_overhead, prepared);
+        let total = self.compute_and_bill(&activation, matrix, x, iterations, true, workspace);
+        (
+            selection,
+            total.expect("an unfenced activation never fails"),
+        )
+    }
+
+    /// Pins what executing `selection` on `matrix` needs, in one cache
+    /// lookup on the warm path: the `(device, kernel)` costs and, when
+    /// `prepared`, the prepared plan (materialized once per `(matrix,
+    /// device, kernel)` on the first contact, so the warm path replays the
+    /// merge-path partition table / ELL slab / row bins instead of
+    /// re-deriving them).
+    fn pin(
+        &self,
+        matrix: &CsrMatrix,
+        selection: Selection,
+        charged_overhead: SimTime,
+        prepared: bool,
+    ) -> PlanActivation {
+        let (costs, plan) =
+            self.kernel_slot(matrix, selection.device, selection.kernel, true, prepared);
+        PlanActivation {
+            selection,
+            charged_overhead,
+            plan,
+            costs: costs.expect("the costs were asked for"),
+            fenced: false,
+        }
+    }
+
+    /// Computes `matrix * x` into the workspace through the activation's
+    /// plan (streaming when it pinned none) and bills it: the activation's
+    /// charged overhead when `first`, plus the observed kernel total. A
+    /// fenced activation whose device is not live before or after the
+    /// kernel fails typed, with nothing billed or observed.
+    fn compute_and_bill(
+        &self,
+        activation: &PlanActivation,
+        matrix: &CsrMatrix,
+        x: &[Scalar],
+        iterations: usize,
+        first: bool,
+        workspace: &mut EngineWorkspace,
+    ) -> Result<SimTime, DeviceFailed> {
+        let selection = &activation.selection;
+        let fence = || match activation.fenced {
+            true => self.fleet.ensure_live(selection.device),
+            false => Ok(()),
+        };
+        fence()?;
+        workspace.y.resize(matrix.rows(), 0.0);
+        let kernel = kernel(selection.kernel);
+        let (y, scratch) = (&mut workspace.y, &mut workspace.scratch);
+        match &activation.plan {
+            Some(plan) => kernel.compute_prepared_into(plan, matrix, x, y, scratch),
+            None => kernel.compute_into(matrix, x, y, scratch),
+        }
+        fence()?;
+        let charged = first.then_some(activation.charged_overhead);
+        Ok(charged.unwrap_or(SimTime::ZERO)
+            + self.observe_execution(selection, activation.costs, iterations))
+    }
+
+    /// The matrix's fused profile, answered from (and installed into) its
+    /// cache entry. Exactly one profiling pass runs per distinct matrix
+    /// content, even across regenerated values.
     fn profile_for(&self, matrix: &CsrMatrix, fingerprint: u64) -> Arc<MatrixProfile> {
-        if let Some(profile) = self
-            .profiles
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        let cached = self
+            .read_cache()
+            .entries
             .get(&fingerprint)
-        {
-            return Arc::clone(profile);
+            .and_then(|entry| entry.profile.clone());
+        if let Some(profile) = cached {
+            return profile;
         }
         // Count only passes this call actually ran: the tracked accessor
         // reports `true` for exactly one caller per matrix value, so
@@ -2045,48 +2152,24 @@ impl SeerEngine {
         if computed {
             self.counters.profile_passes.fetch_add(1, Ordering::Relaxed);
         }
-        self.profiles
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(fingerprint, Arc::clone(&profile));
-        profile
+        let mut cache = self.write_cache();
+        let entry = cache.entries.entry(fingerprint).or_default();
+        Arc::clone(entry.profile.get_or_insert(profile))
     }
 
     /// Iteration-independent modelled costs of `kernel_id` on `matrix` when
-    /// run on `device`, cached per `(sparsity fingerprint, device, kernel)`
-    /// — the cost models read the profile and structure alone, so cached
-    /// costs survive value mutation. Every device's costs derive from the
-    /// same shared [`MatrixProfile`], so a fleet-wide ranking never profiles
-    /// the matrix more than once.
+    /// run on `device` — the cost models read the profile and structure
+    /// alone, so cached costs survive value mutation. Every device's costs
+    /// derive from the same shared [`MatrixProfile`], so a fleet-wide
+    /// ranking never profiles the matrix more than once.
     fn kernel_costs_on(
         &self,
         matrix: &CsrMatrix,
         device: DeviceId,
         kernel_id: KernelId,
     ) -> KernelCosts {
-        let fingerprint = matrix.sparsity_fingerprint();
-        let key = (fingerprint, device, kernel_id);
-        if let Some(costs) = self
-            .timings
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .copied()
-        {
-            return costs;
-        }
-        let profile = self.profile_for(matrix, fingerprint);
-        let gpu = self.fleet.gpu(device);
-        let kernel = kernel(kernel_id);
-        let costs = KernelCosts {
-            preprocessing: kernel.preprocessing_time(&gpu, matrix, &profile),
-            per_iteration: kernel.iteration_timing(&gpu, matrix, &profile).total,
-        };
-        self.timings
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, costs);
-        costs
+        let (costs, _) = self.kernel_slot(matrix, device, kernel_id, true, false);
+        costs.expect("the costs were asked for")
     }
 
     /// [`SeerEngine::prepared_plan_on`] for the fleet's default device — the
@@ -2096,8 +2179,8 @@ impl SeerEngine {
     }
 
     /// The prepared execution plan of `kernel_id` on `matrix` for `device`,
-    /// answered from (and installed into) the byte-budgeted `(sparsity
-    /// fingerprint, device, kernel)` plan cache. A warm lookup is a
+    /// answered from (and installed into) the byte-budgeted plan cache, keyed
+    /// by `(sparsity fingerprint, device, kernel)`. A warm lookup is a
     /// short-held lock, a hash probe and an `Arc` clone: no allocation. A
     /// cold build runs with **no** lock held, so warm traffic on other
     /// matrices is never convoyed behind an O(nnz) preparation; when
@@ -2109,8 +2192,8 @@ impl SeerEngine {
     /// Structure-only plans (merge-path tables, row bins, COO expansions,
     /// direct plans) survive value mutation untouched. The ELL slab embeds
     /// value bits, so a cached slab whose values key no longer matches the
-    /// matrix is rebuilt in place — no profile pass (the profile cache is
-    /// warm), no selection, counted in
+    /// matrix is rebuilt in place — no profile pass (the profile is
+    /// cached), no selection, counted in
     /// [`EngineStats::plan_value_refreshes`] rather than as a preparation.
     /// Alternating two value versions of one sparsity pattern therefore
     /// refreshes on every swap; callers doing that should hold their own
@@ -2126,111 +2209,90 @@ impl SeerEngine {
         kernel_id: KernelId,
     ) -> Arc<PreparedPlan> {
         let _ = self.fleet.status(device);
-        let fingerprint = matrix.sparsity_fingerprint();
-        let key = (fingerprint, device, kernel_id);
-        let mut stale = false;
-        {
-            let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-            let tick = cache.tick();
-            if let Some(entry) = cache.map.get_mut(&key) {
-                if entry.plan.values_current(matrix) {
-                    entry.last_used = tick;
-                    return Arc::clone(&entry.plan);
-                }
-                stale = true;
-            }
-        }
-        let profile = self.profile_for(matrix, fingerprint);
-        let plan = Arc::new(kernel(kernel_id).prepare(matrix, &profile));
-        let mut cache = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        let tick = cache.tick();
-        if let Some(entry) = cache.map.get_mut(&key) {
-            if entry.plan.values_current(matrix) {
-                // A concurrent first contact (or refresh) installed a
-                // serviceable plan while we built ours; adopt it so the
-                // counters stay exact.
-                entry.last_used = tick;
-                return Arc::clone(&entry.plan);
-            }
-            // Value refresh: swap the stale values-keyed plan for the
-            // rebuilt one, keeping the byte accounting balanced.
-            stale = true;
-            cache.bytes -= entry.plan.heap_bytes();
-        }
-        if stale {
-            self.counters
-                .plan_value_refreshes
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters
-                .plan_preparations
-                .fetch_add(1, Ordering::Relaxed);
-            self.device_counter(device)
-                .plan_preparations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        cache.bytes += plan.heap_bytes();
-        cache.map.insert(
-            key,
-            PreparedEntry {
-                plan: Arc::clone(&plan),
-                last_used: tick,
-            },
-        );
-        let evicted = cache.evict_to_budget(Some(key));
-        self.count_prepared_evictions(&evicted);
-        plan
+        let (_, plan) = self.kernel_slot(matrix, device, kernel_id, false, true);
+        plan.expect("the plan was asked for")
     }
 
-    /// Budgeted clear of the per-fingerprint caches: when the engine holds
-    /// more distinct matrix contents than the fingerprint budget, sweep every
-    /// per-fingerprint map (and the prepared plans derived from them) and
-    /// count the dropped entries as evictions. Called from the selection path
-    /// with no engine locks held; the common case costs one relaxed load and
-    /// one uncontended read-lock length check.
-    fn enforce_fingerprint_budget(&self) {
-        let budget = self.fingerprint_budget.load(Ordering::Relaxed) as usize;
-        // Profiles are keyed by fingerprint exactly; the selection-plan map
-        // (keyed by fingerprint x iterations x policy) is its upper proxy for
-        // traffic that never profiles (known-only selections).
-        let over = {
-            let profiles = self.profiles.read().unwrap_or_else(PoisonError::into_inner);
-            let plans = self.plans.read().unwrap_or_else(PoisonError::into_inner);
-            profiles.len() > budget || plans.len() > budget
+    /// The cached costs (when `want_costs`) and current prepared plan (when
+    /// `want_plan`) of one `(device, kernel)` slot of `matrix`: one lookup on
+    /// the warm path. Whatever is wanted and missing is built with no lock
+    /// held and then installed. Costs are pure, so racing builders agree; a
+    /// built plan is counted as a preparation (or, replacing one with stale
+    /// values, a refresh) only by the first installer, and racers adopt the
+    /// installed plan. Each install evicts plans down to the byte budget.
+    fn kernel_slot(
+        &self,
+        matrix: &CsrMatrix,
+        device: DeviceId,
+        kernel_id: KernelId,
+        want_costs: bool,
+        want_plan: bool,
+    ) -> (Option<KernelCosts>, Option<Arc<PreparedPlan>>) {
+        let (costs, plan) = self
+            .read_cache()
+            .lookup(matrix, device, kernel_id, want_plan);
+        let build_costs = want_costs && costs.is_none();
+        let build_plan = want_plan && plan.is_none();
+        if !build_costs && !build_plan {
+            return (costs, plan);
+        }
+        let fingerprint = matrix.sparsity_fingerprint();
+        let profile = self.profile_for(matrix, fingerprint);
+        let kernel = kernel(kernel_id);
+        let built_costs = build_costs.then(|| {
+            let gpu = self.fleet.gpu(device);
+            KernelCosts {
+                preprocessing: kernel.preprocessing_time(&gpu, matrix, &profile),
+                per_iteration: kernel.iteration_timing(&gpu, matrix, &profile).total,
+            }
+        });
+        let built_plan = build_plan.then(|| Arc::new(kernel.prepare(matrix, &profile)));
+
+        let mut guard = self.write_cache();
+        let cache = &mut *guard;
+        let tick = cache.tick();
+        let entry = cache.entries.entry(fingerprint).or_default();
+        let slot = entry.kernel_or_insert(device, kernel_id);
+        if let Some(built) = built_costs.filter(|_| !slot.priced) {
+            slot.costs = built;
+            slot.priced = true;
+        }
+        // Costs found by the lookup above stay valid even if a sweep has
+        // emptied the slot since: they are a pure function of the pattern.
+        let costs = costs.or(built_costs);
+        let Some(built) = built_plan else {
+            return (costs, plan);
         };
-        if !over {
-            return;
-        }
-        // Same lock order as `clear_caches`: `prepared` before the RwLocks.
-        let mut prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-        let mut features = self
-            .features
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut profiles = self
-            .profiles
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut timings = self.timings.write().unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write locks: a concurrent sweep may have won.
-        if profiles.len() <= budget && plans.len() <= budget {
-            return;
-        }
-        // Prepared plans carry a device in their key: attribute those drops
-        // per device (same path as LRU evictions), and count the
-        // device-agnostic fingerprint maps in the aggregate alone.
-        let prepared_keys: Vec<PreparedKey> = prepared.map.keys().copied().collect();
-        let shared_dropped = (plans.len() + features.len() + profiles.len() + timings.len()) as u64;
-        plans.clear();
-        features.clear();
-        profiles.clear();
-        timings.clear();
-        prepared.clear();
-        self.count_prepared_evictions(&prepared_keys);
-        self.counters
-            .cache_evictions
-            .fetch_add(shared_dropped, Ordering::Relaxed);
+        *slot.last_used.get_mut() = tick;
+        let refreshed = match &slot.plan {
+            // A concurrent first contact (or refresh) installed a
+            // serviceable plan while we built ours; adopt it so the
+            // counters stay exact.
+            Some(installed) if installed.values_current(matrix) => {
+                return (costs, Some(Arc::clone(installed)));
+            }
+            Some(stale) => {
+                cache.plan_bytes -= stale.heap_bytes();
+                true
+            }
+            None => false,
+        };
+        cache.plan_bytes += built.heap_bytes();
+        slot.plan = Some(Arc::clone(&built));
+        let evicted = cache.evict_plans();
+        drop(guard);
+        let built_count = if refreshed {
+            &self.counters.plan_value_refreshes
+        } else {
+            let device_count = self.device_counter(device);
+            device_count
+                .plan_preparations
+                .fetch_add(1, Ordering::Relaxed);
+            &self.counters.plan_preparations
+        };
+        built_count.fetch_add(1, Ordering::Relaxed);
+        self.count_evictions(0, &evicted);
+        (costs, Some(built))
     }
 
     /// Selects kernels for a batch of `(matrix, iterations)` requests.
@@ -2242,21 +2304,6 @@ impl SeerEngine {
         requests
             .iter()
             .map(|&(matrix, iterations)| self.select(matrix, iterations))
-            .collect()
-    }
-
-    /// Executes a batch of `(matrix, x, iterations)` workloads, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request has `x.len() != matrix.cols()`.
-    pub fn execute_batch(
-        &self,
-        requests: &[(&CsrMatrix, &[Scalar], usize)],
-    ) -> Vec<ExecutionOutcome> {
-        requests
-            .iter()
-            .map(|&(matrix, x, iterations)| self.execute(matrix, x, iterations))
             .collect()
     }
 
@@ -2505,10 +2552,9 @@ impl SeerEngine {
     fn observe_execution(
         &self,
         selection: &Selection,
-        matrix: &CsrMatrix,
+        costs: KernelCosts,
         iterations: usize,
     ) -> SimTime {
-        let costs = self.kernel_costs_on(matrix, selection.device, selection.kernel);
         let modelled = costs.total_at(selection.kernel, iterations);
         let factor = self.fleet.true_timing_factor(selection.device);
         let observed = if factor == 1.0 {
@@ -2581,13 +2627,12 @@ impl SeerEngine {
     /// when ranking a multi-device fleet (the statistics themselves are
     /// device-independent and shared).
     fn collect_cached(&self, matrix: &CsrMatrix, fingerprint: u64) -> (FeatureCollection, bool) {
-        if let Some(collection) = self
-            .features
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        let cached = self
+            .read_cache()
+            .entries
             .get(&fingerprint)
-            .copied()
-        {
+            .and_then(|entry| entry.features.as_deref().copied());
+        if let Some(collection) = cached {
             return (collection, false);
         }
         let profile = self.profile_for(matrix, fingerprint);
@@ -2595,10 +2640,9 @@ impl SeerEngine {
         self.counters
             .feature_collections
             .fetch_add(1, Ordering::Relaxed);
-        self.features
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(fingerprint, collection);
+        let mut cache = self.write_cache();
+        let entry = cache.entries.entry(fingerprint).or_default();
+        entry.features.get_or_insert_with(|| Box::new(collection));
         (collection, true)
     }
 
@@ -2973,7 +3017,7 @@ mod tests {
 
         let x_a: Vec<f64> = vec![1.0; a.cols()];
         let x_b: Vec<f64> = vec![1.0; b.cols()];
-        let outcomes = engine.execute_batch(&[(a, x_a.as_slice(), 1), (b, x_b.as_slice(), 1)]);
+        let outcomes = [engine.execute(a, &x_a, 1), engine.execute(b, &x_b, 1)];
         assert_eq!(outcomes.len(), 2);
         for (outcome, reference) in outcomes.iter().zip([a.spmv(&x_a), b.spmv(&x_b)]) {
             assert_eq!(outcome.result.len(), reference.len());
@@ -3017,6 +3061,103 @@ mod tests {
         // first to install the plan counts the miss; the other adopts it.
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(engine.cached_plans(), 1);
+    }
+
+    #[test]
+    fn concurrent_install_adopt_evict_and_sweep_share_one_cache() {
+        let (engine, entries) = engine_and_collection();
+        let matrices: Vec<CsrMatrix> = entries.iter().take(6).map(|e| e.matrix.clone()).collect();
+        let inputs: Vec<Vec<f64>> = matrices
+            .iter()
+            .map(|m| (0..m.cols()).map(|i| (i % 7) as f64 - 3.0).collect())
+            .collect();
+
+        // Single-threaded replay on a twin engine: the reference selections
+        // and result bits, plus the largest plan either kind of call caches.
+        let reference = SeerEngine::new(engine.gpu_handle(), engine.models_handle());
+        let mut workspace = EngineWorkspace::new();
+        let mut expected = HashMap::new();
+        let mut merge_path_bytes = Vec::new();
+        let mut largest_plan = 0;
+        for (index, (matrix, x)) in matrices.iter().zip(&inputs).enumerate() {
+            for iterations in [1, 19] {
+                let (selection, _) = reference.execute_into(matrix, x, iterations, &mut workspace);
+                let bits: Vec<u64> = workspace.result().iter().map(|v| v.to_bits()).collect();
+                expected.insert((index, iterations), (selection, bits));
+                let plan = reference.prepared_plan(matrix, selection.kernel);
+                largest_plan = largest_plan.max(plan.heap_bytes());
+            }
+            let merge_path = reference.prepared_plan(matrix, KernelId::CsrMergePath);
+            merge_path_bytes.push(merge_path.heap_bytes());
+        }
+        largest_plan = largest_plan.max(*merge_path_bytes.iter().max().unwrap());
+
+        // About two merge-path plans of byte budget and three fingerprints:
+        // plans are evicted and every entry swept while threads execute.
+        // Recalibration stays off, so every selection is deterministic.
+        merge_path_bytes.sort_unstable();
+        let budget = 2 * merge_path_bytes[merge_path_bytes.len() / 2];
+        engine.set_prepared_budget_bytes(budget);
+        engine.set_fingerprint_budget(3);
+        let engine = Arc::new(engine);
+        let matrices = Arc::new(matrices);
+        let inputs = Arc::new(inputs);
+        let rounds = 3;
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|thread| {
+                let (engine, matrices, inputs, start) = (
+                    Arc::clone(&engine),
+                    Arc::clone(&matrices),
+                    Arc::clone(&inputs),
+                    Arc::clone(&start),
+                );
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut workspace = EngineWorkspace::new();
+                    let mut seen = Vec::new();
+                    for round in 0..rounds {
+                        for step in 0..matrices.len() {
+                            // Each thread walks all six matrices in its own
+                            // order: strides coprime to six, own offsets.
+                            let stride = [1, 5, 7, 11][thread];
+                            let index = (step * stride + round + thread) % matrices.len();
+                            let matrix = &matrices[index];
+                            for iterations in [1, 19] {
+                                let (selection, _) = engine.execute_into(
+                                    matrix,
+                                    &inputs[index],
+                                    iterations,
+                                    &mut workspace,
+                                );
+                                let bits: Vec<u64> =
+                                    workspace.result().iter().map(|v| v.to_bits()).collect();
+                                seen.push(((index, iterations), (selection, bits)));
+                            }
+                            let plan = engine.prepared_plan(matrix, KernelId::CsrMergePath);
+                            assert_eq!(plan.sparsity_fingerprint(), matrix.sparsity_fingerprint());
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut selections = 0;
+        for handle in handles {
+            for (key, outcome) in handle.join().expect("worker thread") {
+                assert_eq!(
+                    outcome, expected[&key],
+                    "matrix {} at {} iterations",
+                    key.0, key.1
+                );
+                selections += 1;
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(selections, 4 * rounds * 6 * 2);
+        assert_eq!(stats.plan_hits + stats.plan_misses, selections as u64);
+        assert!(stats.cache_evictions > 0, "no eviction or sweep happened");
+        assert!(stats.resident_plan_bytes <= budget.max(largest_plan) as u64);
     }
 
     #[test]
@@ -3107,6 +3248,20 @@ mod tests {
         assert!(stats.cache_evictions > 0);
         // The resident per-fingerprint footprint stayed bounded.
         assert!(engine.cached_plans() <= 3);
+    }
+
+    #[test]
+    fn fingerprint_budget_counts_distinct_matrices_not_plan_keys() {
+        let (engine, entries) = engine_and_collection();
+        engine.set_fingerprint_budget(4);
+        // Three distinct matrices, two selections each: six selections over
+        // three fingerprints stay within a budget of four fingerprints.
+        for entry in entries.iter().take(3) {
+            engine.select_known_only(&entry.matrix, 1);
+            engine.select_known_only(&entry.matrix, 19);
+        }
+        assert_eq!(engine.stats().cache_evictions, 0);
+        assert_eq!(engine.cached_plans(), 6);
     }
 
     #[test]

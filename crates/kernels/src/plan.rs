@@ -13,7 +13,7 @@
 //! A [`PreparedPlan`] is that one-time preparation made explicit: built once
 //! by [`SpmvKernel::prepare`](crate::SpmvKernel::prepare) on a plan-cache
 //! miss, cached by the engine as `Arc<PreparedPlan>` keyed by
-//! `(sparsity_fingerprint, KernelId)`, and consumed by
+//! `(sparsity_fingerprint, device, KernelId)`, and consumed by
 //! [`SpmvKernel::compute_prepared_into`](crate::SpmvKernel::compute_prepared_into)
 //! — which must stay allocation-free and **bit-identical** to the streaming
 //! path (per-row summation order is preserved by construction).
@@ -121,15 +121,16 @@ pub(crate) enum PlanData {
 
 /// A cached, immutable execution plan for one `(matrix, kernel)` pair.
 ///
-/// Built by [`SpmvKernel::prepare`](crate::SpmvKernel::prepare); see the
-/// [module docs](self) for the lifecycle. The plan records the *sparsity*
-/// fingerprint of the matrix it was built from — every variant's structure
-/// is derived from the row offsets and column indices alone — plus, for the
-/// one variant that embeds value bits ([`PlanData::EllSlab`]), the values
-/// fingerprint. A value-only mutation therefore leaves every
-/// structure-derived plan valid and invalidates exactly the slab; a
-/// mismatched replay is caught in every build profile (see
-/// [`PreparedPlan::validate_for`] and [`PlanMismatch`]), and
+/// Built by [`SpmvKernel::prepare`](crate::SpmvKernel::prepare) on a
+/// plan-cache miss and replayed by
+/// [`SpmvKernel::compute_prepared_into`](crate::SpmvKernel::compute_prepared_into).
+/// The plan records the *sparsity* fingerprint of the matrix it was built
+/// from — every variant's structure is derived from the row offsets and
+/// column indices alone — plus, for the one variant that embeds value bits
+/// (the padded ELL slab), the values fingerprint. A value-only mutation
+/// therefore leaves every structure-derived plan valid and invalidates
+/// exactly the slab; a mismatched replay is caught in every build profile
+/// (see [`PreparedPlan::validate_for`] and [`PlanMismatch`]), and
 /// [`PreparedPlan::heap_bytes`] feeds the engine's byte-accounted cache
 /// eviction.
 #[derive(Debug, Clone)]
@@ -212,8 +213,8 @@ impl PreparedPlan {
         self.heap_bytes
     }
 
-    /// Whether this plan carries a materialized structure (false for
-    /// [`PlanData::Direct`]).
+    /// Whether this plan carries a materialized structure (false for direct
+    /// plans, whose kernels read the CSR arrays as they are).
     pub fn is_materialized(&self) -> bool {
         !matches!(self.data, PlanData::Direct)
     }

@@ -187,16 +187,37 @@ impl CooMatrix {
     }
 
     /// Converts to CSR, sorting entries row-major and summing duplicates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row-offset arrays for `rows` rows cannot be allocated.
     pub fn to_csr(&self) -> CsrMatrix {
+        self.try_to_csr()
+            .expect("row offsets for every row fit in memory")
+    }
+
+    /// [`CooMatrix::to_csr`], returning `None` instead of aborting when the
+    /// arrays sized by the row count cannot be allocated. The entry arrays
+    /// are sized by entries already held, so only the row count — an
+    /// untrusted header field in [`crate::market`] — can be unallocatable.
+    pub(crate) fn try_to_csr(&self) -> Option<CsrMatrix> {
+        let offsets_len = self.rows.checked_add(1)?;
+        let zeroed_offsets = || {
+            let mut offsets: Vec<usize> = Vec::new();
+            offsets.try_reserve_exact(offsets_len).ok()?;
+            offsets.resize(offsets_len, 0);
+            Some(offsets)
+        };
         // Counting sort on rows keeps conversion O(nnz + rows).
-        let mut counts = vec![0usize; self.rows + 1];
+        let mut counts = zeroed_offsets()?;
         for &r in &self.row_indices {
             counts[r + 1] += 1;
         }
         for i in 0..self.rows {
             counts[i + 1] += counts[i];
         }
-        let mut next = counts.clone();
+        let mut next = zeroed_offsets()?;
+        next.copy_from_slice(&counts);
         let nnz = self.nnz();
         let mut cols = vec![0usize; nnz];
         let mut vals = vec![0.0; nnz];
@@ -207,7 +228,8 @@ impl CooMatrix {
             next[r] += 1;
         }
         // Sort within each row by column, then merge duplicates.
-        let mut merged_offsets = Vec::with_capacity(self.rows + 1);
+        let mut merged_offsets = Vec::new();
+        merged_offsets.try_reserve_exact(offsets_len).ok()?;
         let mut merged_cols = Vec::with_capacity(nnz);
         let mut merged_vals = Vec::with_capacity(nnz);
         merged_offsets.push(0);
@@ -231,14 +253,15 @@ impl CooMatrix {
             }
             merged_offsets.push(merged_cols.len());
         }
-        CsrMatrix::try_new(
+        let csr = CsrMatrix::try_new(
             self.rows,
             self.cols,
             merged_offsets,
             merged_cols,
             merged_vals,
         )
-        .expect("coo entries were validated on insertion")
+        .expect("coo entries were validated on insertion");
+        Some(csr)
     }
 
     /// Total bytes occupied by the triplet representation.

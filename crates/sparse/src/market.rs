@@ -42,6 +42,11 @@ const MAX_RESERVED_ENTRIES: usize = 1 << 16;
 /// Returns [`SparseError::Parse`] for malformed content and
 /// [`SparseError::Io`] for I/O failures.
 pub fn read_coo<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
+    Ok(read_coo_sized(reader)?.0)
+}
+
+/// [`read_coo`], also returning the line number of the size line.
+fn read_coo_sized<R: Read>(reader: R) -> Result<(CooMatrix, usize), SparseError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
 
@@ -158,16 +163,25 @@ pub fn read_coo<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
             reason: format!("header declares {declared_nnz} entries but file contains {seen}"),
         });
     }
-    Ok(coo)
+    Ok((coo, size_line_no))
 }
 
 /// Reads a MatrixMarket coordinate file into CSR form.
 ///
 /// # Errors
 ///
-/// See [`read_coo`].
+/// See [`read_coo`]; additionally returns [`SparseError::Parse`] naming the
+/// size line when the declared row count is too large to allocate row
+/// offsets for.
 pub fn read_csr<R: Read>(reader: R) -> Result<CsrMatrix, SparseError> {
-    Ok(read_coo(reader)?.to_csr())
+    let (coo, size_line_no) = read_coo_sized(reader)?;
+    coo.try_to_csr().ok_or_else(|| SparseError::Parse {
+        line: size_line_no,
+        reason: format!(
+            "cannot allocate row offsets for the declared {} rows",
+            coo.rows()
+        ),
+    })
 }
 
 /// Reads a MatrixMarket file from a path into CSR form.
@@ -338,6 +352,24 @@ mod tests {
             1 1 1.0\n";
         let err = read_csr(content.as_bytes()).unwrap_err();
         assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
+    }
+
+    /// Row counts whose offset arrays cannot exist: one far beyond any
+    /// address space, one whose `rows + 1` would wrap.
+    #[test]
+    fn unallocatable_row_count_is_a_parse_error_naming_the_size_line() {
+        for rows in ["99999999999999", "18446744073709551615"] {
+            let content =
+                format!("%%MatrixMarket matrix coordinate real general\n% comment\n{rows} 1 0\n");
+            let err = read_csr(content.as_bytes()).unwrap_err();
+            match err {
+                SparseError::Parse { line, reason } => {
+                    assert_eq!(line, 3, "{reason}");
+                    assert!(reason.contains(rows), "{reason}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
