@@ -37,47 +37,61 @@
 //!    than modelled must lose placement within a bounded number of observed
 //!    executions (EWMA correction factors), and win it back within a
 //!    bounded number once the drift lifts (epsilon-greedy exploration).
+//! 5. **Cold-path work counts** — signature probes per fleet cold selection
+//!    (the signature is the profile pass's by-product, so none), and the
+//!    live heap bytes a 2-device engine retains per fresh fingerprint,
+//!    measured by the counting allocator over fresh row permutations of the
+//!    end-to-end benchmark's held-out templates.
 //!
 //! All properties are *asserted*, not just reported — the binary exits
 //! non-zero if any regresses. With `--check` it additionally replays every
 //! corpus selection against `tests/golden_selections.txt` (same corpus seed
 //! and training config as `cargo test --test selection_golden`), proving
-//! neither the fused profile nor the prepared plans changed any selection.
+//! neither the fused profile nor the prepared plans changed any selection,
+//! and gates the cold-path work counts: one profile pass and zero signature
+//! probes per fleet cold selection, and at most [`RETAINED_BYTES_BOUND`]
+//! retained per fresh fingerprint.
 //! Results are written to `BENCH_selection.json` (override with `--out
 //! PATH`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use seer_core::engine::{
     EngineStats, EngineWorkspace, ExplorationPolicy, RecalibrationConfig, SeerEngine,
 };
+use seer_core::inference::SelectionPolicy;
 use seer_core::training::TrainingConfig;
 use seer_gpu::{DeviceRegistry, Fleet, Gpu, GpuSpec};
 use seer_kernels::{kernel, ComputeScratch, KernelId, MatrixBenchmark};
 use seer_sparse::collection::{generate, CollectionConfig, DatasetEntry, SizeScale};
-use seer_sparse::MatrixProfile;
+use seer_sparse::{CsrMatrix, MatrixProfile, SplitMix64, StructureSignature};
 
 /// Counts every heap allocation in the process so the steady-state execute
-/// path can be pinned at zero allocations per request.
+/// path can be pinned at zero allocations per request, and tracks the live
+/// heap bytes so a lane can measure what the engine retains.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -89,6 +103,19 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// the fused profile: one sampled `MatrixProfile` per kernel model (8), plus
 /// the feature collector's `RowStats` pass and its cost model's profile.
 const LEGACY_SWEEPS_PER_SELECTION: u64 = 10;
+
+/// Requests of the retention lane. The live-bytes delta is read between
+/// request `RETAINED_FROM` and request `RETAINED_TO`, after a warm-up that
+/// serves every template under both policies and grows every per-engine
+/// buffer, so what remains is what each fresh fingerprint keeps.
+const RETAINED_FROM: usize = 2_000;
+const RETAINED_TO: usize = 12_000;
+
+/// `--check` bound on the heap bytes a 2-device engine retains per fresh
+/// fingerprint. Storing the profile's row groups as `usize` pairs, with no
+/// row-length histogram, retained about 1,500 B; the `u32` aggregates and
+/// the eviction index retain under 1,200 B.
+const RETAINED_BYTES_BOUND: f64 = 1_300.0;
 
 /// Which engine execute path the steady-state section pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +182,83 @@ fn golden_corpus() -> Vec<DatasetEntry> {
     })
 }
 
+/// A Small collection as the end-to-end benchmark (`seerbench`) builds it:
+/// seed 2024 trains, seed 0xC01D holds out the templates it serves fresh.
+fn small_collection(seed: u64) -> Vec<DatasetEntry> {
+    generate(&CollectionConfig {
+        seed,
+        matrices_per_family: 4,
+        scale: SizeScale::Small,
+    })
+}
+
+/// A copy of `template` with its rows in a seeded random order: the same
+/// row lengths and columns under a sparsity pattern nothing has served.
+fn permute_rows(template: &CsrMatrix, rng: &mut SplitMix64) -> CsrMatrix {
+    let mut order: Vec<usize> = (0..template.rows()).collect();
+    rng.shuffle(&mut order);
+    let offsets_in = template.row_offsets();
+    let mut offsets = Vec::with_capacity(order.len() + 1);
+    let mut cols = Vec::with_capacity(template.nnz());
+    let mut vals = Vec::with_capacity(template.nnz());
+    offsets.push(0);
+    for &row in &order {
+        let span = offsets_in[row]..offsets_in[row + 1];
+        cols.extend_from_slice(&template.col_indices()[span.clone()]);
+        vals.extend_from_slice(&template.values()[span]);
+        offsets.push(cols.len());
+    }
+    CsrMatrix::try_new(template.rows(), template.cols(), offsets, cols, vals)
+        .expect("a row permutation of a valid matrix is valid")
+}
+
+/// Live heap bytes a 2-device engine retains per fresh fingerprint.
+///
+/// The engine is the end-to-end benchmark's cold one: the first two
+/// reference presets, models trained on its training set. Each request
+/// executes a fresh row permutation of a held-out template once; one in
+/// four is `GatheredOnly` and one in four, drawn per request, runs 19
+/// iterations. Each matrix and input is dropped after its request, so the
+/// delta between requests `RETAINED_FROM` and `RETAINED_TO` is the engine's.
+fn retained_bytes_per_fresh_fingerprint() -> f64 {
+    let (trained, _) = SeerEngine::train(
+        Gpu::default(),
+        &small_collection(2024),
+        &TrainingConfig::fast(),
+    )
+    .expect("training on the Small collection");
+    let fleet = Fleet::of_specs(Fleet::reference_presets().into_iter().take(2))
+        .expect("the reference presets validate");
+    let engine = SeerEngine::with_fleet(fleet, trained.models_handle());
+    drop(trained);
+    let templates = small_collection(0xC01D);
+    let mut rng = SplitMix64::new(0x5EED_C01D);
+    let mut workspace = EngineWorkspace::new();
+    let mut live_before = 0;
+    for request in 0..RETAINED_TO {
+        if request == RETAINED_FROM {
+            live_before = LIVE_BYTES.load(Ordering::Relaxed);
+        }
+        let template = &templates[rng.next_below(templates.len())].matrix;
+        let iterations = if rng.next_f64() < 0.25 { 19 } else { 1 };
+        let policy = if request % 4 == 3 {
+            SelectionPolicy::GatheredOnly
+        } else {
+            SelectionPolicy::Adaptive
+        };
+        let matrix = permute_rows(template, &mut rng);
+        let x = vec![1.0; matrix.cols()];
+        let _ = engine.execute_with_policy_into(&matrix, &x, iterations, policy, &mut workspace);
+    }
+    let retained = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    assert_eq!(
+        engine.stats().plan_misses,
+        RETAINED_TO as u64,
+        "every request must be a fresh fingerprint"
+    );
+    retained as f64 / (RETAINED_TO - RETAINED_FROM) as f64
+}
+
 fn locate_golden_table() -> Option<String> {
     let candidates = [
         "tests/golden_selections.txt".to_string(),
@@ -217,12 +321,14 @@ fn main() {
     let fleet_engine = SeerEngine::with_fleet(fleet.clone(), engine.models_handle());
     let fleet_fresh = golden_corpus();
     let passes_before = MatrixProfile::passes();
+    let probes_before = StructureSignature::probes();
     let fleet_start = Instant::now();
     for entry in &fleet_fresh {
         let _ = fleet_engine.select(&entry.matrix, 19);
     }
     let fleet_cold_secs = fleet_start.elapsed().as_secs_f64();
     let fleet_passes = MatrixProfile::passes() - passes_before;
+    let fleet_probes = StructureSignature::probes() - probes_before;
     assert_eq!(
         fleet_passes,
         fleet_fresh.len() as u64,
@@ -286,12 +392,30 @@ fn main() {
     );
     println!(
         "  fleet cold select     {:.1}us/matrix over {} devices, 1 profiling pass/matrix \
-         (measured: {} over {} matrices)",
+         (measured: {} over {} matrices), {} signature probes",
         1e6 * fleet_cold_secs / fleet_fresh.len() as f64,
         fleet.len(),
         fleet_passes,
-        fleet_fresh.len()
+        fleet_fresh.len(),
+        fleet_probes
     );
+
+    // Retention: what each fresh fingerprint keeps in a 2-device engine.
+    let retained_bytes = retained_bytes_per_fresh_fingerprint();
+    println!(
+        "  retained heap         {retained_bytes:.0} B per fresh fingerprint \
+         (2-device engine, requests {RETAINED_FROM}..{RETAINED_TO}; bound {RETAINED_BYTES_BOUND:.0} B)"
+    );
+    if options.check {
+        assert_eq!(
+            fleet_probes, 0,
+            "a fleet cold selection must read the signature its profile pass left, not probe"
+        );
+        assert!(
+            retained_bytes <= RETAINED_BYTES_BOUND,
+            "{retained_bytes:.0} B retained per fresh fingerprint, bound {RETAINED_BYTES_BOUND:.0} B"
+        );
+    }
 
     // ---- 2. Steady-state execute: zero allocations. ----------------------
     let hot = &collection[0].matrix;
@@ -878,8 +1002,29 @@ fn main() {
     );
     let _ = writeln!(
         json,
+        "    \"signature_probes_per_matrix\": {:.3},",
+        fleet_probes as f64 / fleet_fresh.len() as f64
+    );
+    let _ = writeln!(
+        json,
         "    \"cold_select_us_per_matrix\": {:.3}",
         1e6 * fleet_cold_secs / fleet_fresh.len() as f64
+    );
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"cold_retention\": {{");
+    let _ = writeln!(json, "    \"devices\": 2,");
+    let _ = writeln!(
+        json,
+        "    \"fresh_fingerprints\": {},",
+        RETAINED_TO - RETAINED_FROM
+    );
+    let _ = writeln!(
+        json,
+        "    \"retained_bytes_per_fresh_fingerprint\": {retained_bytes:.0},"
+    );
+    let _ = writeln!(
+        json,
+        "    \"retained_bytes_bound\": {RETAINED_BYTES_BOUND:.0}"
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"steady_state_execute\": {{");

@@ -675,6 +675,11 @@ impl FingerprintEntry {
             + costs.count()) as u64
     }
 
+    /// Whether any of this entry's slots holds a prepared plan.
+    fn holds_plan(&self) -> bool {
+        self.kernels.iter().any(|slot| slot.plan.is_some())
+    }
+
     /// The devices of the prepared plans this entry holds, one per plan.
     fn plan_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
         self.kernels
@@ -708,6 +713,11 @@ fn push_exact<T>(list: &mut Box<[T]>, item: T) {
 #[derive(Debug)]
 struct FingerprintCache {
     entries: HashMap<u64, FingerprintEntry>,
+    /// The fingerprints whose entries hold at least one prepared plan, each
+    /// once, so an evicting install searches the resident plans rather than
+    /// every cached fingerprint. 8 bytes per indexed entry; every path that
+    /// installs or drops a plan keeps it exact.
+    planned: Vec<u64>,
     /// Heap bytes held by cached prepared plans.
     plan_bytes: usize,
     plan_budget: usize,
@@ -726,6 +736,7 @@ impl FingerprintCache {
     fn new() -> Self {
         Self {
             entries: HashMap::new(),
+            planned: Vec::new(),
             plan_bytes: 0,
             plan_budget: Self::DEFAULT_PLAN_BUDGET,
             fingerprint_budget: SeerEngine::DEFAULT_FINGERPRINT_BUDGET as usize,
@@ -767,6 +778,20 @@ impl FingerprintCache {
         (slot.priced.then_some(slot.costs), plan)
     }
 
+    /// The slots holding a prepared plan, found through the index, with the
+    /// position of their fingerprint in it and their index in the entry.
+    fn planned_slots(&self) -> impl Iterator<Item = (usize, usize, &KernelSlot)> {
+        self.planned
+            .iter()
+            .enumerate()
+            .flat_map(|(at, fingerprint)| {
+                let slots = self.entries[fingerprint].kernels.iter().enumerate();
+                slots
+                    .filter(|(_, slot)| slot.plan.is_some())
+                    .map(move |(index, slot)| (at, index, slot))
+            })
+    }
+
     /// Evicts least-recently-used plans until the byte budget is met, never
     /// the most recently used one — the plan just installed or pinned.
     /// Returns the device of each evicted plan (empty in the common
@@ -776,26 +801,40 @@ impl FingerprintCache {
         if self.plan_bytes <= self.plan_budget {
             return evicted;
         }
-        let stamps = self.slots().filter(|slot| slot.plan.is_some());
-        let newest = stamps
-            .map(|slot| slot.last_used.load(Ordering::Relaxed))
-            .max();
+        let stamp = |slot: &KernelSlot| slot.last_used.load(Ordering::Relaxed);
+        let newest = self.planned_slots().map(|(_, _, slot)| stamp(slot)).max();
         while self.plan_bytes > self.plan_budget {
             let victim = self
-                .entries
-                .values_mut()
-                .flat_map(|entry| entry.kernels.iter_mut())
-                .filter(|slot| slot.plan.is_some())
-                .map(|slot| (slot.last_used.load(Ordering::Relaxed), slot))
-                .filter(|&(stamp, _)| Some(stamp) != newest)
-                .min_by_key(|&(stamp, _)| stamp);
-            let Some((_, slot)) = victim else { break };
+                .planned_slots()
+                .map(|(at, index, slot)| (stamp(slot), at, index))
+                .filter(|&(used, _, _)| Some(used) != newest)
+                .min_by_key(|&(used, _, _)| used);
+            let Some((_, at, index)) = victim else { break };
+            let entry = self.entries.get_mut(&self.planned[at]);
+            let entry = entry.expect("indexed fingerprints are cached");
+            let slot = &mut entry.kernels[index];
             if let Some(plan) = slot.plan.take() {
                 self.plan_bytes -= plan.heap_bytes();
                 evicted.push(slot.device);
             }
+            if !entry.holds_plan() {
+                self.planned.swap_remove(at);
+            }
         }
         evicted
+    }
+
+    /// Drops from the index every fingerprint whose entry no longer holds a
+    /// plan, after a pass that dropped plans across many entries.
+    fn reindex_plans(&mut self) {
+        let Self {
+            entries, planned, ..
+        } = self;
+        planned.retain(|fingerprint| {
+            entries
+                .get(fingerprint)
+                .is_some_and(FingerprintEntry::holds_plan)
+        });
     }
 
     /// Empties the map (budgets and clock survive, so recency comparisons
@@ -804,6 +843,7 @@ impl FingerprintCache {
     /// lock.
     fn take_entries(&mut self) -> HashMap<u64, FingerprintEntry> {
         self.plan_bytes = 0;
+        self.planned = Vec::new();
         std::mem::take(&mut self.entries)
     }
 }
@@ -1374,6 +1414,7 @@ impl SeerEngine {
                 });
                 entry.kernels = kept.into_boxed_slice();
             }
+            cache.reindex_plans();
         }
         self.count_evictions(dropped_costs, &dropped_plans);
         // Departed devices take their learned corrections with them: a
@@ -1621,7 +1662,7 @@ impl SeerEngine {
             return (self.serve_hit(plan, matrix, iterations), SimTime::ZERO);
         }
 
-        let class_key = ClassKey {
+        let class_key = || ClassKey {
             signature: matrix.structure_signature(),
             iterations,
             policy,
@@ -1630,14 +1671,16 @@ impl SeerEngine {
         // whose quantized signature matches an already-decided class adopts
         // that class's `(kernel, device)` pair, skipping feature collection,
         // the classifier walks and the fleet cost sweep — and, crucially,
-        // the profiling pass. The exact plan cache above always wins first,
-        // so exact repeats are untouched by reuse.
+        // the profiling pass, which is why the lookup's signature is probed.
+        // The exact plan cache above always wins first, so exact repeats are
+        // untouched by reuse.
         if self.class_reuse.load(Ordering::Relaxed) {
+            let lookup_key = class_key();
             let inherited = self
                 .classes
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .lookup(&class_key);
+                .lookup(&lookup_key);
             if let Some(entry) = inherited {
                 self.counters.class_hits.fetch_add(1, Ordering::Relaxed);
                 self.counters
@@ -1667,7 +1710,10 @@ impl SeerEngine {
         };
         let (selection, collection_ran) = self.decide(ctx, policy);
         // Index this from-scratch selection's class whether or not reuse is
-        // currently enabled, so flipping it on inherits from history.
+        // currently enabled, so flipping it on inherits from history. The
+        // key is built only now: a fleet placement has profiled the pattern,
+        // so its signature is that pass's by-product, not a second walk.
+        let class_key = class_key();
         let evicted = self
             .classes
             .lock()
@@ -2252,6 +2298,7 @@ impl SeerEngine {
         let cache = &mut *guard;
         let tick = cache.tick();
         let entry = cache.entries.entry(fingerprint).or_default();
+        let indexed = entry.holds_plan();
         let slot = entry.kernel_or_insert(device, kernel_id);
         if let Some(built) = built_costs.filter(|_| !slot.priced) {
             slot.costs = built;
@@ -2279,6 +2326,9 @@ impl SeerEngine {
         };
         cache.plan_bytes += built.heap_bytes();
         slot.plan = Some(Arc::clone(&built));
+        if !indexed {
+            cache.planned.push(fingerprint);
+        }
         let evicted = cache.evict_plans();
         drop(guard);
         let built_count = if refreshed {
@@ -3232,6 +3282,88 @@ mod tests {
             entries[0].matrix.sparsity_fingerprint()
         );
         assert!(engine.stats().resident_plan_bytes <= largest.max(sizes[0]) as u64);
+    }
+
+    /// The eviction index must name exactly the slots that hold a prepared
+    /// plan: every planned fingerprint once, and none without a plan.
+    fn assert_plan_index_exact(engine: &SeerEngine) {
+        let cache = engine.read_cache();
+        let indexed: std::collections::HashSet<_> = cache
+            .planned_slots()
+            .map(|(at, _, slot)| (cache.planned[at], slot.device, slot.kernel))
+            .collect();
+        let scanned: std::collections::HashSet<_> = cache
+            .entries
+            .iter()
+            .flat_map(|(&fingerprint, entry)| {
+                let planned = entry.kernels.iter().filter(|slot| slot.plan.is_some());
+                planned.map(move |slot| (fingerprint, slot.device, slot.kernel))
+            })
+            .collect();
+        assert_eq!(indexed, scanned);
+        let distinct: std::collections::HashSet<_> = cache.planned.iter().collect();
+        assert_eq!(distinct.len(), cache.planned.len(), "indexed twice");
+        assert!(cache.planned.iter().all(|fp| cache
+            .entries
+            .get(fp)
+            .is_some_and(FingerprintEntry::holds_plan)));
+    }
+
+    #[test]
+    fn plan_index_names_exactly_the_slots_holding_a_plan() {
+        let (engine, entries) = engine_and_collection();
+        let fleet = Fleet::reference_heterogeneous();
+        let engine = SeerEngine::with_fleet(fleet.clone(), engine.models_handle());
+        let devices: Vec<DeviceId> = fleet.ids().collect();
+        // Installs: plans on two devices for some fingerprints, selections
+        // alone for others.
+        for entry in &entries[..4] {
+            engine.prepared_plan_on(&entry.matrix, devices[0], KernelId::CsrMergePath);
+            engine.prepared_plan_on(&entry.matrix, devices[1], KernelId::CsrAdaptive);
+        }
+        for entry in &entries[4..8] {
+            engine.select_known_only(&entry.matrix, 19);
+        }
+        assert_eq!(engine.cached_prepared_plans(), 8);
+        assert_plan_index_exact(&engine);
+
+        // Evictions: a 1-byte budget keeps only the newest plan, and each
+        // further install evicts one.
+        engine.set_prepared_budget_bytes(1);
+        assert_plan_index_exact(&engine);
+        for entry in &entries[8..11] {
+            engine.prepared_plan_on(&entry.matrix, devices[2], KernelId::CsrMergePath);
+            assert_plan_index_exact(&engine);
+        }
+        assert_eq!(engine.cached_prepared_plans(), 1);
+        engine.set_prepared_budget_bytes(FingerprintCache::DEFAULT_PLAN_BUDGET);
+
+        // An ELL value refresh swaps a plan in place.
+        let mut identity = CsrMatrix::identity(256);
+        engine.prepared_plan_on(&identity, devices[1], KernelId::EllThreadMapped);
+        identity.update_values(&[2.0; 256]).unwrap();
+        engine.prepared_plan_on(&identity, devices[1], KernelId::EllThreadMapped);
+        assert_eq!(engine.stats().plan_value_refreshes, 1);
+        assert_plan_index_exact(&engine);
+
+        // Dropping one device's slots keeps the other devices' plans.
+        engine.prepared_plan_on(&entries[0].matrix, devices[0], KernelId::CsrMergePath);
+        engine.invalidate_device(devices[1]);
+        assert_plan_index_exact(&engine);
+        assert!(engine.cached_prepared_plans() >= 1);
+
+        // A fingerprint-budget sweep drops every entry.
+        engine.set_fingerprint_budget(1);
+        engine.select_known_only(&entries[12].matrix, 19);
+        assert_plan_index_exact(&engine);
+        assert_eq!(engine.cached_prepared_plans(), 0);
+        engine.set_fingerprint_budget(SeerEngine::DEFAULT_FINGERPRINT_BUDGET);
+        engine.prepared_plan_on(&entries[0].matrix, devices[3], KernelId::CsrMergePath);
+        assert_plan_index_exact(&engine);
+
+        engine.clear_caches();
+        assert_plan_index_exact(&engine);
+        assert!(engine.read_cache().planned.is_empty());
     }
 
     #[test]

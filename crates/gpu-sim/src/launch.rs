@@ -87,6 +87,9 @@ pub struct LaunchBuilder<'a> {
 }
 
 impl<'a> LaunchBuilder<'a> {
+    /// 2^53: every integer below it is an exact `f64`.
+    const EXACT_INTEGER_BOUND: f64 = (1u64 << 53) as f64;
+
     pub(crate) fn new(gpu: &'a Gpu) -> Self {
         Self {
             gpu,
@@ -126,8 +129,16 @@ impl<'a> LaunchBuilder<'a> {
     /// Adds `count` identical wavefronts in one call.
     ///
     /// Work-oriented schedules (merge-path, COO segments, ELL rows) produce
-    /// thousands of wavefronts with identical per-lane work; this bulk method
-    /// keeps modelling them O(1) instead of O(wavefronts).
+    /// thousands of wavefronts with identical per-lane work, and length-only
+    /// row schedules produce one identical wavefront set per row of a given
+    /// length; this bulk method keeps modelling them O(1) instead of
+    /// O(wavefronts).
+    ///
+    /// It is exact, not an approximation: the per-wavefront quantities are
+    /// integers, so while every accumulated sum stays an integer below 2^53
+    /// each `f64` product and sum is exact, and the timing equals `count`
+    /// calls of [`LaunchBuilder::add_wavefront`] in any order. Debug builds
+    /// assert that bound.
     pub fn add_uniform_wavefronts(
         &mut self,
         count: usize,
@@ -146,6 +157,17 @@ impl<'a> LaunchBuilder<'a> {
         self.total_lane_cycles += total_lane_cycles as f64 * count as f64;
         self.streamed_bytes += streamed_bytes as f64 * count as f64;
         self.gathered_words += gathered_words as f64 * count as f64;
+        debug_assert!(
+            [
+                self.total_wavefront_cycles,
+                self.total_lane_cycles,
+                self.streamed_bytes,
+                self.gathered_words,
+            ]
+            .iter()
+            .all(|&sum| sum < Self::EXACT_INTEGER_BOUND),
+            "launch sums must stay integers below 2^53 to be exact"
+        );
     }
 
     /// Declares the random-access profile of the launch: the footprint of the

@@ -4,7 +4,7 @@
 //! [`seer_sparse::MatrixProfile`], memoized on the matrix; the kernel models
 //! receive it by reference instead of re-deriving it.
 
-use seer_sparse::CsrMatrix;
+use seer_sparse::{CsrMatrix, MatrixProfile};
 
 /// Microarchitectural cost constants shared by every kernel model.
 ///
@@ -104,6 +104,33 @@ pub(crate) fn row_groups(
         }
         (max_len, sum_len)
     })
+}
+
+/// Calls `price(len, count)` once per distinct row length of `matrix`, with
+/// the number of rows of that length.
+///
+/// The pairs come from the profile's row-length histogram, so a cost model
+/// whose per-row term depends on the row length alone prices a matrix in one
+/// step per distinct length rather than one per row. A matrix too large for
+/// the profile's `u32` aggregates is fed one row at a time with count 1, so
+/// the same pricing body serves it. Feeding `count` identical rows through
+/// [`seer_gpu::LaunchBuilder::add_uniform_wavefronts`] is exact, not an
+/// approximation: every per-wavefront quantity is an integer, and the
+/// builder asserts that its sums stay integers below 2^53.
+pub(crate) fn for_each_row_length(
+    matrix: &CsrMatrix,
+    profile: &MatrixProfile,
+    mut price: impl FnMut(usize, usize),
+) {
+    if profile.aggregated() {
+        for &(len, count) in profile.row_length_histogram.iter() {
+            price(len as usize, count as usize);
+        }
+    } else {
+        for row in 0..matrix.rows() {
+            price(matrix.row_len(row), 1);
+        }
+    }
 }
 
 /// Integer log2 rounded up, with `ceil_log2(0) == 0` and `ceil_log2(1) == 0`.

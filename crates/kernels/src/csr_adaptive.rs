@@ -3,7 +3,7 @@
 use seer_gpu::{Gpu, KernelTiming, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
-use crate::common::{ceil_log2, CostParams};
+use crate::common::{ceil_log2, for_each_row_length, CostParams};
 use crate::plan::{PlanData, PreparedPlan};
 use crate::registry::KernelId;
 use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKernel};
@@ -50,12 +50,6 @@ impl RowBinning {
         } else {
             RowBin::Large
         }
-    }
-
-    fn non_empty_bins(&self) -> usize {
-        usize::from(!self.small.is_empty())
-            + usize::from(!self.medium.is_empty())
-            + usize::from(!self.large.is_empty())
     }
 }
 
@@ -129,17 +123,70 @@ impl SpmvKernel for CsrAdaptive {
     ) -> KernelTiming {
         let p = &self.params;
         let wavefront = gpu.spec().wavefront_size;
-        let binning = RowBinning::compute(matrix);
+        let block = 4 * wavefront;
 
         let mut launch = gpu.launch();
         launch.set_gather_profile(profile.x_footprint_bytes, profile.gather_locality);
 
+        // The bins the host pass would build, priced per distinct row length
+        // from the profile's histogram: a medium or large row's wavefronts
+        // depend on its length alone, so the `count` rows of one length are
+        // priced together, bit-identical to pricing row by row; small rows
+        // only tally their bin's totals.
+        let mut small_rows = 0usize;
+        let mut small_nnz = 0usize;
+        for_each_row_length(matrix, profile, |len, count| {
+            match RowBinning::classify(len) {
+                RowBin::Small => {
+                    small_rows += count;
+                    small_nnz += len * count;
+                }
+                // Medium rows: one row per wavefront (CSR-vector style).
+                RowBin::Medium => {
+                    let strides = len.div_ceil(wavefront) as f64;
+                    let max_cycles = p.thread_prologue_cycles
+                        + strides * p.cycles_per_nnz
+                        + ceil_log2(wavefront) as f64 * p.reduction_cycles_per_step;
+                    let total_cycles = wavefront as f64 * p.thread_prologue_cycles
+                        + len as f64 * p.cycles_per_nnz
+                        + wavefront as f64 * p.reduction_cycles_per_step;
+                    let streamed = len as u64 * p.csr_bytes_per_nnz() + p.row_meta_bytes;
+                    launch.add_uniform_wavefronts(
+                        count,
+                        max_cycles as u64,
+                        total_cycles as u64,
+                        streamed,
+                        len as u64,
+                    );
+                }
+                // Large rows: one row per 256-thread workgroup (CSR-vectorL
+                // style).
+                RowBin::Large => {
+                    let strides = len.div_ceil(block) as f64;
+                    let max_cycles = p.thread_prologue_cycles
+                        + strides * p.cycles_per_nnz
+                        + (ceil_log2(block) as f64 + 1.0) * p.reduction_cycles_per_step;
+                    let per_wavefront_len = (len as u64).div_ceil(4);
+                    let total_cycles = wavefront as f64 * p.thread_prologue_cycles
+                        + per_wavefront_len as f64 * p.cycles_per_nnz
+                        + wavefront as f64 * p.reduction_cycles_per_step;
+                    let streamed = per_wavefront_len * p.csr_bytes_per_nnz() + p.row_meta_bytes;
+                    launch.add_uniform_wavefronts(
+                        4 * count,
+                        max_cycles as u64,
+                        total_cycles as u64,
+                        streamed,
+                        per_wavefront_len,
+                    );
+                }
+            }
+        });
+
         // Small rows: CSR-stream packs ~WAVEFRONT nonzeros of consecutive rows
         // into each wavefront, so the work per wavefront is uniform regardless
         // of the individual row lengths.
-        if !binning.small.is_empty() {
-            let small_nnz: usize = binning.small.iter().map(|&r| matrix.row_len(r)).sum();
-            let work_items = small_nnz + binning.small.len();
+        if small_rows > 0 {
+            let work_items = small_nnz + small_rows;
             let wavefronts = work_items.div_ceil(wavefront).max(1);
             let per_lane = 1.0;
             let max_cycles = p.thread_prologue_cycles
@@ -147,7 +194,7 @@ impl SpmvKernel for CsrAdaptive {
                 + ceil_log2(wavefront) as f64 * p.reduction_cycles_per_step;
             let total_cycles = wavefront as f64 * max_cycles;
             let nnz_share = (small_nnz as u64).div_ceil(wavefronts as u64);
-            let row_share = (binning.small.len() as u64).div_ceil(wavefronts as u64);
+            let row_share = (small_rows as u64).div_ceil(wavefronts as u64);
             let streamed = nnz_share * p.csr_bytes_per_nnz() + row_share * p.row_meta_bytes;
             launch.add_uniform_wavefronts(
                 wavefronts,
@@ -158,46 +205,9 @@ impl SpmvKernel for CsrAdaptive {
             );
         }
 
-        // Medium rows: one row per wavefront (CSR-vector style).
-        for &row in &binning.medium {
-            let len = matrix.row_len(row);
-            let strides = len.div_ceil(wavefront) as f64;
-            let max_cycles = p.thread_prologue_cycles
-                + strides * p.cycles_per_nnz
-                + ceil_log2(wavefront) as f64 * p.reduction_cycles_per_step;
-            let total_cycles = wavefront as f64 * p.thread_prologue_cycles
-                + len as f64 * p.cycles_per_nnz
-                + wavefront as f64 * p.reduction_cycles_per_step;
-            let streamed = len as u64 * p.csr_bytes_per_nnz() + p.row_meta_bytes;
-            launch.add_wavefront(max_cycles as u64, total_cycles as u64, streamed, len as u64);
-        }
-
-        // Large rows: one row per 256-thread workgroup (CSR-vectorL style).
-        let block = 4 * wavefront;
-        for &row in &binning.large {
-            let len = matrix.row_len(row);
-            let strides = len.div_ceil(block) as f64;
-            let max_cycles = p.thread_prologue_cycles
-                + strides * p.cycles_per_nnz
-                + (ceil_log2(block) as f64 + 1.0) * p.reduction_cycles_per_step;
-            let per_wavefront_len = (len as u64).div_ceil(4);
-            let total_cycles = wavefront as f64 * p.thread_prologue_cycles
-                + per_wavefront_len as f64 * p.cycles_per_nnz
-                + wavefront as f64 * p.reduction_cycles_per_step;
-            let streamed = per_wavefront_len * p.csr_bytes_per_nnz() + p.row_meta_bytes;
-            launch.add_uniform_wavefronts(
-                4,
-                max_cycles as u64,
-                total_cycles as u64,
-                streamed,
-                per_wavefront_len,
-            );
-        }
-
         // rocSPARSE's adaptive csrmv is a single dispatch driven by the
         // precomputed row-block table; the bin structure does not multiply the
         // launch overhead.
-        let _ = binning.non_empty_bins();
         launch.set_dispatches(1);
         launch.finish()
     }

@@ -3,7 +3,7 @@
 use seer_gpu::{Gpu, KernelTiming, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
-use crate::common::{ceil_log2, CostParams};
+use crate::common::{ceil_log2, for_each_row_length, CostParams};
 use crate::registry::KernelId;
 use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKernel};
 
@@ -70,8 +70,11 @@ impl SpmvKernel for CsrBlockMapped {
             ceil_log2(wavefront) as f64 + ceil_log2(wavefronts_per_block) as f64 + 1.0;
         let mut launch = gpu.launch();
         launch.set_gather_profile(profile.x_footprint_bytes, profile.gather_locality);
-        for row in 0..matrix.rows() {
-            let len = matrix.row_len(row);
+        // Each row is one block of identical wavefronts whose cost depends
+        // on the row length alone, so the `count` rows of one length are
+        // priced together from the profile's histogram, bit-identical to
+        // pricing row by row.
+        for_each_row_length(matrix, profile, |len, count| {
             let strides = len.div_ceil(Self::BLOCK) as f64;
             let max_cycles = p.thread_prologue_cycles
                 + strides * p.cycles_per_nnz
@@ -82,13 +85,13 @@ impl SpmvKernel for CsrBlockMapped {
                 + wavefront as f64 * p.reduction_cycles_per_step;
             let streamed = per_wavefront_len * p.csr_bytes_per_nnz() + p.row_meta_bytes;
             launch.add_uniform_wavefronts(
-                wavefronts_per_block,
+                wavefronts_per_block * count,
                 max_cycles as u64,
                 total_cycles as u64,
                 streamed,
                 per_wavefront_len,
             );
-        }
+        });
         launch.finish()
     }
 

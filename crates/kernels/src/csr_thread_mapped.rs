@@ -82,10 +82,10 @@ impl SpmvKernel for CsrThreadMapped {
                 sum_len as u64,
             );
         };
-        if wavefront == MatrixProfile::WAVEFRONT_GROUP {
+        if wavefront == MatrixProfile::WAVEFRONT_GROUP && profile.aggregated() {
             // The fused profile already carries the per-wavefront row groups.
-            for &(max_len, sum_len) in &profile.wavefront_groups {
-                add_group(max_len, sum_len);
+            for &(max_len, sum_len) in profile.wavefront_groups.iter() {
+                add_group(max_len as usize, sum_len as usize);
             }
         } else {
             for (max_len, sum_len) in row_groups(matrix, wavefront) {

@@ -3,7 +3,7 @@
 use seer_gpu::{Gpu, KernelTiming, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
-use crate::common::{ceil_log2, CostParams};
+use crate::common::{ceil_log2, for_each_row_length, CostParams};
 use crate::registry::KernelId;
 use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKernel};
 
@@ -65,8 +65,11 @@ impl SpmvKernel for CsrWavefrontMapped {
         let reduction_steps = ceil_log2(wavefront) as f64;
         let mut launch = gpu.launch();
         launch.set_gather_profile(profile.x_footprint_bytes, profile.gather_locality);
-        for row in 0..matrix.rows() {
-            let len = matrix.row_len(row);
+        // Each row is one wavefront whose cost depends on its length alone,
+        // so the `count` rows of one length are `count` identical
+        // wavefronts: priced per distinct length from the profile's
+        // histogram, bit-identical to pricing row by row.
+        for_each_row_length(matrix, profile, |len, count| {
             let strides = len.div_ceil(wavefront) as f64;
             // Per-row fixed cost is higher than thread mapping: the row bounds
             // are fetched through the scalar unit and the result is written by
@@ -79,8 +82,14 @@ impl SpmvKernel for CsrWavefrontMapped {
                 + len as f64 * p.cycles_per_nnz
                 + wavefront as f64 * p.reduction_cycles_per_step;
             let streamed = len as u64 * p.csr_bytes_per_nnz() + p.row_meta_bytes;
-            launch.add_wavefront(max_cycles as u64, total_cycles as u64, streamed, len as u64);
-        }
+            launch.add_uniform_wavefronts(
+                count,
+                max_cycles as u64,
+                total_cycles as u64,
+                streamed,
+                len as u64,
+            );
+        });
         launch.finish()
     }
 

@@ -73,8 +73,10 @@ pub struct CsrMatrix {
     /// the pass. The profile reads only the sparsity arrays, so it survives
     /// value-only mutation.
     profile: OnceLock<Arc<MatrixProfile>>,
-    /// Lazily computed quantized [`StructureSignature`], sparsity-only like
-    /// the profile; survives value-only mutation.
+    /// Lazily probed quantized [`StructureSignature`], for a matrix asked
+    /// for its signature before it was profiled (a profiled matrix reads
+    /// the profile's). Sparsity-only like the profile; survives value-only
+    /// mutation.
     signature: OnceLock<StructureSignature>,
 }
 
@@ -485,11 +487,18 @@ impl CsrMatrix {
     }
 
     /// The quantized [`StructureSignature`] of this matrix's sparsity
-    /// pattern, memoized like the profile. Structurally similar matrices —
-    /// the same generator family at a nearby seed, a value-mutated copy —
-    /// collapse onto the same signature, which is what the engine's
-    /// structure-class index keys on.
+    /// pattern. Structurally similar matrices — the same generator family
+    /// at a nearby seed, a value-mutated copy — collapse onto the same
+    /// signature, which is what the engine's structure-class index keys on.
+    ///
+    /// A profiled matrix answers with its profile's by-product at no cost;
+    /// one with no profile yet runs [`StructureSignature::probe`] (which
+    /// never triggers the profile pass) and memoizes the result. Both give
+    /// the same signature.
     pub fn structure_signature(&self) -> StructureSignature {
+        if let Some(profile) = self.profile.get() {
+            return profile.signature;
+        }
         *self
             .signature
             .get_or_init(|| StructureSignature::probe(self))

@@ -1,14 +1,34 @@
 //! The fused one-pass matrix profile.
 //!
 //! Every consumer of per-matrix shape information — the eight kernel cost
-//! models, the feature-collection kernels, the ELL conversion — used to run
-//! its own sweep over the row offsets (and sometimes the column indices), so
-//! one cold kernel-selection benchmark cost ~10 redundant traversals of the
-//! same arrays. [`MatrixProfile`] computes the superset of everything those
-//! consumers need in **one** traversal of `row_offsets`/`col_indices` and is
-//! memoized on [`CsrMatrix`] behind a `OnceLock`, exactly like
+//! models, the feature-collection kernels, the ELL conversion, the
+//! structure-class index — used to run its own sweep over the row offsets
+//! (and sometimes the column indices), so one cold kernel-selection
+//! benchmark cost ~10 redundant traversals of the same arrays.
+//! [`MatrixProfile`] computes the superset of everything those consumers need
+//! in **one** traversal of `row_offsets`/`col_indices` and is memoized on
+//! [`CsrMatrix`] behind a `OnceLock`, exactly like
 //! [`CsrMatrix::content_fingerprint`]: the pass runs at most once per matrix
 //! value, and cloning a matrix carries the cached profile along.
+//!
+//! The one pass yields:
+//!
+//! - the sampled gather profile (`x` footprint, gather locality, average row
+//!   length) and the full [`RowStats`];
+//! - the ELL padding ratio and the exact bandwidth;
+//! - the per-wavefront row groups the thread-mapped cost model reads;
+//! - the row-length histogram the length-only cost models (`CSR,WM`,
+//!   `CSR,BM`, `CSR,A`) price from, so pricing a matrix on another device
+//!   costs one step per distinct row length instead of one per row;
+//! - the [`StructureSignature`], from the same locality samples plus their
+//!   sampled bandwidth, so a profiled matrix never needs
+//!   [`StructureSignature::probe`].
+//!
+//! The two aggregates are stored as exact-size boxed `(u32, u32)` slices:
+//! the engine retains one profile per cached sparsity pattern, so their
+//! width is paid per fingerprint. A matrix whose rows or stored entries
+//! exceed `u32::MAX` records neither (see [`MatrixProfile::aggregated`]),
+//! and its consumers walk its rows instead.
 //!
 //! Each quantity is accumulated with the same arithmetic (and the same
 //! floating-point evaluation order) as the standalone derivation it replaces,
@@ -19,7 +39,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::stats::RowStatsAccumulator;
-use crate::{CsrMatrix, RowStats};
+use crate::{CsrMatrix, RowStats, StructureSignature};
 
 /// Number of fused profiling passes performed process-wide.
 ///
@@ -33,8 +53,9 @@ static PROFILE_PASSES: AtomicU64 = AtomicU64::new(0);
 ///
 /// The first three fields keep the names (and the exact values) of the
 /// original sampled profile so the kernel models read them unchanged; the
-/// rest fold in the row statistics, the ELL padding ratio, the bandwidth and
-/// the per-wavefront row groups that the kernels and the feature collector
+/// rest fold in the row statistics, the ELL padding ratio, the bandwidth,
+/// the per-wavefront row groups, the row-length histogram and the structure
+/// signature that the kernels, the feature collector and the class index
 /// used to recompute for themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixProfile {
@@ -63,8 +84,16 @@ pub struct MatrixProfile {
     pub bandwidth: usize,
     /// `(max_row_len, sum_row_len)` per consecutive group of
     /// [`MatrixProfile::WAVEFRONT_GROUP`] rows — the two numbers the
-    /// thread-mapped schedule needs per wavefront.
-    pub wavefront_groups: Vec<(usize, usize)>,
+    /// thread-mapped schedule needs per wavefront. Empty unless
+    /// [`MatrixProfile::aggregated`].
+    pub wavefront_groups: Box<[(u32, u32)]>,
+    /// `(row_len, rows)` for every distinct row length, ascending by length:
+    /// how many rows have each length. Empty unless
+    /// [`MatrixProfile::aggregated`].
+    pub row_length_histogram: Box<[(u32, u32)]>,
+    /// The quantized structure signature, equal to
+    /// [`StructureSignature::probe`] of the same matrix.
+    pub signature: StructureSignature,
 }
 
 impl MatrixProfile {
@@ -103,12 +132,19 @@ impl MatrixProfile {
         let mut next_sample = 0usize;
         let mut sampled = 0usize;
         let mut distance_sum = 0.0f64;
+        let mut sampled_bandwidth = 0usize;
 
         let mut stats_acc = RowStatsAccumulator::new();
         let mut bandwidth = 0usize;
-        let mut wavefront_groups = Vec::with_capacity(rows.div_ceil(Self::WAVEFRONT_GROUP));
+        let aggregated = Self::fits_aggregates(rows, nnz);
+        let mut wavefront_groups = Vec::with_capacity(if aggregated {
+            rows.div_ceil(Self::WAVEFRONT_GROUP)
+        } else {
+            0
+        });
         let mut group_max = 0usize;
         let mut group_sum = 0usize;
+        let mut lengths = LengthCounts::new(if aggregated { nnz } else { 0 });
 
         for row in 0..rows {
             let start = row_offsets[row];
@@ -116,12 +152,17 @@ impl MatrixProfile {
             let len = end - start;
             stats_acc.push(len);
 
-            group_max = group_max.max(len);
-            group_sum += len;
-            if (row + 1) % Self::WAVEFRONT_GROUP == 0 {
-                wavefront_groups.push((group_max, group_sum));
-                group_max = 0;
-                group_sum = 0;
+            if aggregated {
+                // Every length and group sum is at most `nnz`, so the
+                // narrowing casts below are lossless.
+                group_max = group_max.max(len);
+                group_sum += len;
+                if (row + 1) % Self::WAVEFRONT_GROUP == 0 {
+                    wavefront_groups.push((group_max as u32, group_sum as u32));
+                    group_max = 0;
+                    group_sum = 0;
+                }
+                lengths.add(len);
             }
 
             for &col in &col_indices[start..end] {
@@ -131,18 +172,21 @@ impl MatrixProfile {
             // Locality samples are strided nonzero indices; every sample in
             // `start..end` belongs to this row, and samples are consumed in
             // ascending order, so this reproduces the standalone scan's
-            // row-tracking exactly.
+            // row-tracking exactly — and the signature probe's, whose
+            // sampled bandwidth reads the same samples.
             while next_sample < end {
                 debug_assert!(next_sample >= start);
+                let col = col_indices[next_sample];
+                sampled_bandwidth = sampled_bandwidth.max(row.abs_diff(col));
                 let diag = (row as f64 / rows_c as f64) * cols_c as f64;
-                let distance = (col_indices[next_sample] as f64 - diag).abs() / cols_c as f64;
+                let distance = (col as f64 - diag).abs() / cols_c as f64;
                 distance_sum += distance;
                 sampled += 1;
                 next_sample += step;
             }
         }
-        if !rows.is_multiple_of(Self::WAVEFRONT_GROUP) {
-            wavefront_groups.push((group_max, group_sum));
+        if aggregated && !rows.is_multiple_of(Self::WAVEFRONT_GROUP) {
+            wavefront_groups.push((group_max as u32, group_sum as u32));
         }
 
         let gather_locality = if nnz == 0 {
@@ -163,6 +207,13 @@ impl MatrixProfile {
         } else {
             1.0 - row_stats.nnz as f64 / padded as f64
         };
+        let signature = StructureSignature::quantize(
+            (rows, cols, nnz),
+            row_stats.imbalance(),
+            ell_padding_ratio,
+            sampled_bandwidth,
+            gather_locality,
+        );
 
         Self {
             x_footprint_bytes: 8.0 * cols_c as f64,
@@ -174,8 +225,25 @@ impl MatrixProfile {
             row_stats,
             ell_padding_ratio,
             bandwidth,
-            wavefront_groups,
+            wavefront_groups: wavefront_groups.into_boxed_slice(),
+            row_length_histogram: lengths.finish(row_stats.max_row_len),
+            signature,
         }
+    }
+
+    /// Whether a matrix of `rows` rows and `nnz` stored entries fits the
+    /// `u32` aggregates: every row length, group sum and row count is then
+    /// at most `u32::MAX`.
+    fn fits_aggregates(rows: usize, nnz: usize) -> bool {
+        u32::try_from(rows).is_ok() && u32::try_from(nnz).is_ok()
+    }
+
+    /// Whether the pass recorded [`MatrixProfile::wavefront_groups`] and
+    /// [`MatrixProfile::row_length_histogram`]. False only for a matrix
+    /// whose rows or stored entries exceed `u32::MAX`; consumers then walk
+    /// its rows one at a time.
+    pub fn aggregated(&self) -> bool {
+        Self::fits_aggregates(self.rows, self.nnz)
     }
 
     /// Length of the longest row.
@@ -192,6 +260,57 @@ impl MatrixProfile {
     /// Number of fused profiling passes performed process-wide so far.
     pub fn passes() -> u64 {
         PROFILE_PASSES.load(Ordering::Relaxed)
+    }
+}
+
+/// The signature probe samples exactly the profile's locality samples, which
+/// is what makes the profile's signature equal the probe's.
+const _: () = assert!(MatrixProfile::LOCALITY_SAMPLES == StructureSignature::SAMPLE_TARGET);
+
+/// The row-length histogram under construction: a dense table of the
+/// lengths below [`LengthCounts::DENSE_LENGTHS`], sized by the stored
+/// entries (no row is longer), and the longer lengths, collected as they
+/// come — each such row is at least that much work in the pass — and
+/// sorted at the end.
+struct LengthCounts {
+    dense: Vec<u32>,
+    long: Vec<u32>,
+}
+
+impl LengthCounts {
+    const DENSE_LENGTHS: usize = 4096;
+
+    /// Counts for a matrix of `nnz` stored entries that fits the `u32`
+    /// aggregates.
+    fn new(nnz: usize) -> Self {
+        Self {
+            dense: vec![0; nnz.min(Self::DENSE_LENGTHS - 1) + 1],
+            long: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, len: usize) {
+        match self.dense.get_mut(len) {
+            Some(count) => *count += 1,
+            None => self.long.push(len as u32),
+        }
+    }
+
+    /// The exact-size `(row_len, rows)` histogram, ascending by length, of a
+    /// matrix whose longest row has `max_len` entries.
+    fn finish(mut self, max_len: usize) -> Box<[(u32, u32)]> {
+        let short = &self.dense[..=max_len.min(self.dense.len() - 1)];
+        self.long.sort_unstable();
+        let long_runs = self.long.chunk_by(|a, b| a == b);
+        let distinct = short.iter().filter(|&&count| count > 0).count() + long_runs.clone().count();
+        let mut pairs = Vec::with_capacity(distinct);
+        for (len, &count) in short.iter().enumerate() {
+            if count > 0 {
+                pairs.push((len as u32, count));
+            }
+        }
+        pairs.extend(long_runs.map(|run| (run[0], run.len() as u32)));
+        pairs.into_boxed_slice()
     }
 }
 
@@ -244,7 +363,7 @@ mod tests {
         assert_eq!(profile.avg_row_len, 0.0);
         assert_eq!(profile.ell_padding_ratio, 0.0);
         assert_eq!(profile.bandwidth, 0);
-        assert_eq!(profile.wavefront_groups, vec![(0, 0)]);
+        assert_eq!(profile.wavefront_groups[..], [(0, 0)]);
 
         let degenerate = MatrixProfile::compute(&CsrMatrix::zeros(0, 0));
         assert_eq!(degenerate.x_footprint_bytes, 8.0);
@@ -261,10 +380,14 @@ mod tests {
             profile.wavefront_groups.len(),
             257usize.div_ceil(MatrixProfile::WAVEFRONT_GROUP)
         );
-        let total: usize = profile.wavefront_groups.iter().map(|&(_, sum)| sum).sum();
+        let total: usize = profile
+            .wavefront_groups
+            .iter()
+            .map(|&(_, sum)| sum as usize)
+            .sum();
         assert_eq!(total, m.nnz());
         for &(max, sum) in &profile.wavefront_groups {
-            assert!(max * MatrixProfile::WAVEFRONT_GROUP >= sum);
+            assert!(max as usize * MatrixProfile::WAVEFRONT_GROUP >= sum as usize);
         }
     }
 

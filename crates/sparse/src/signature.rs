@@ -13,14 +13,20 @@
 //!
 //! Two properties matter:
 //!
-//! 1. **Cheap.** The probe is one O(rows) walk of the row offsets plus a
-//!    strided sample of at most [`StructureSignature::SAMPLE_TARGET`] column
-//!    indices — it never triggers (or needs) the full profile pass, so a
-//!    class *hit* costs O(rows), not O(nnz).
-//! 2. **Canonical.** The same probe computes the signature at class-insert
-//!    and class-lookup time, so bucket boundaries are compared
-//!    like-for-like; there is no second, "more exact" derivation that could
-//!    disagree near an edge.
+//! 1. **Cheap.** Once a matrix is profiled, its signature is a by-product
+//!    of that pass ([`MatrixProfile::signature`](crate::MatrixProfile)), and
+//!    [`CsrMatrix::structure_signature`] returns it at no cost. The
+//!    standalone [`StructureSignature::probe`] stays for matrices with no
+//!    profile — a class-reuse lookup, which must not trigger the full
+//!    profile pass, and callers that never profile: one O(rows) walk of the
+//!    row offsets plus a strided sample of at most
+//!    [`StructureSignature::SAMPLE_TARGET`] column indices, so a class *hit*
+//!    costs O(rows), not O(nnz).
+//! 2. **Canonical.** The profile and the probe read the same row lengths
+//!    and the same strided samples through the same arithmetic, so both
+//!    derivations produce the identical signature and bucket boundaries are
+//!    compared like-for-like at class-insert and class-lookup time
+//!    (`tests/profile_equivalence.rs` pins the equality).
 //!
 //! The buckets are deliberately coarse — logarithmic in size, eighths for
 //! the ratios — because the kernel-selection surface itself is coarse: the
@@ -29,12 +35,20 @@
 //! pins the resulting agreement rate (≥95% on the corpus and its perturbed
 //! variants).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::CsrMatrix;
+
+/// Number of standalone signature probes performed process-wide.
+///
+/// Purely observational, like [`MatrixProfile::passes`](crate::MatrixProfile::passes):
+/// benchmarks use deltas of it to prove that a profiled matrix never probes.
+static PROBES: AtomicU64 = AtomicU64::new(0);
 
 /// A quantized, hashable summary of a matrix's sparsity structure.
 ///
-/// Obtained via [`CsrMatrix::structure_signature`] (memoized on the matrix;
-/// survives value-only mutation) or directly through
+/// Obtained via [`CsrMatrix::structure_signature`] (the profile's by-product
+/// or a memoized probe; survives value-only mutation) or directly through
 /// [`StructureSignature::probe`]. Matrices with equal signatures form a
 /// *structure class*: the engine assumes the same `(kernel, device)`
 /// selection serves them equally well and lets class members inherit it.
@@ -61,9 +75,9 @@ pub struct StructureSignature {
 }
 
 impl StructureSignature {
-    /// Maximum number of column indices sampled by the probe; matches
-    /// `MatrixProfile::LOCALITY_SAMPLES` so the locality estimate agrees
-    /// with the profile's on small matrices.
+    /// Maximum number of column indices sampled by the probe; equal to
+    /// `MatrixProfile::LOCALITY_SAMPLES`, so the probe reads exactly the
+    /// profile's locality samples.
     pub const SAMPLE_TARGET: usize = 4096;
 
     /// Computes the signature with one walk of the row offsets and a strided
@@ -71,9 +85,10 @@ impl StructureSignature {
     ///
     /// Deterministic: the stride depends only on `nnz`, so the same matrix
     /// (or any matrix with the same structure) always probes to the same
-    /// signature. Prefer [`CsrMatrix::structure_signature`], which memoizes
-    /// the result.
+    /// signature. Prefer [`CsrMatrix::structure_signature`], which answers
+    /// from the matrix's profile when it has one and memoizes the result.
     pub fn probe(matrix: &CsrMatrix) -> Self {
+        PROBES.fetch_add(1, Ordering::Relaxed);
         let rows = matrix.rows();
         let cols = matrix.cols();
         let nnz = matrix.nnz();
@@ -137,15 +152,34 @@ impl StructureSignature {
             (1.0 - 3.0 * mean_distance).clamp(0.0, 1.0)
         };
 
+        Self::quantize((rows, cols, nnz), cv, padding_ratio, bandwidth, locality)
+    }
+
+    /// Buckets the measured shape: `(rows, cols, nnz)`, the row-length
+    /// coefficient of variation, the ELL padding ratio, the sampled
+    /// bandwidth and the gather locality. The profile pass and the probe
+    /// both end here.
+    pub(crate) fn quantize(
+        (rows, cols, nnz): (usize, usize, usize),
+        cv: f64,
+        padding_ratio: f64,
+        sampled_bandwidth: usize,
+        locality: f64,
+    ) -> Self {
         Self {
             rows_log2: (rows as u64 + 1).ilog2() as u8,
             cols_log2: (cols as u64 + 1).ilog2() as u8,
             nnz_log2: (nnz as u64 + 1).ilog2() as u8,
             cv_bucket: ((cv / 0.25) as u8).min(31),
             padding_bucket: eighths(padding_ratio),
-            bandwidth_bucket: eighths(bandwidth as f64 / cols_c as f64),
+            bandwidth_bucket: eighths(sampled_bandwidth as f64 / cols.max(1) as f64),
             locality_bucket: eighths(locality),
         }
+    }
+
+    /// Number of standalone probes performed process-wide so far.
+    pub fn probes() -> u64 {
+        PROBES.load(Ordering::Relaxed)
     }
 }
 
