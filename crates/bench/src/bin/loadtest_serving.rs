@@ -53,13 +53,13 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seer_core::engine::SeerEngine;
+use seer_core::engine::{EngineStats, SeerEngine};
 use seer_core::serving::{
     AdmissionConfig, PoolConfig, Priority, RoutingConfig, ServingError, ServingPool,
     ServingRequest, ShedPolicy, SubmitOutcome, Ticket,
 };
 use seer_core::training::TrainingConfig;
-use seer_gpu::{Fleet, Gpu};
+use seer_gpu::{DeviceId, Fleet, Gpu};
 use seer_sparse::collection::{generate, CollectionConfig, SizeScale};
 use seer_sparse::traffic::{
     ChaosEvent, RequestClass, TrafficConfig, TrafficGenerator, TrafficRequest,
@@ -393,24 +393,19 @@ fn run_chaos(options: &Options) {
         }
     }
 
-    let victim_lane = stats
-        .devices()
-        .into_iter()
-        .find(|lane| lane.device == victim)
-        .expect("victim lane exists");
+    // Routing selections the engine placed on the victim while it lived.
+    let victim_selections = stats.device_engine(victim).selections();
     let recovery = post_rps / never_rps;
     println!(
         "\npost-death throughput  {post_rps:>10.0} req/s\nnever-had-it fleet     {never_rps:>10.0} req/s\nrecovery ratio         {recovery:>10.2}x"
     );
     println!(
         "chaos counters: {} device failures, {} retried, {} migrations, {} failed, \
-         victim served {} of {} routed to it",
+         {victim_selections} selections placed on the victim",
         stats.device_failures(),
         stats.retried(),
         stats.migrations(),
         stats.failed(),
-        victim_lane.completed,
-        victim_lane.submitted,
     );
 
     // The chaos invariants. Every ticket resolved Ok above (the waits
@@ -427,8 +422,8 @@ fn run_chaos(options: &Options) {
         "every device failure must be absorbed by the one bounded retry"
     );
     assert!(
-        victim_lane.submitted > 0,
-        "the scenario must route traffic to the victim before the death"
+        victim_selections > 0,
+        "the scenario must place traffic on the victim before the death"
     );
     assert!(
         stats.migrations() > 0,
@@ -459,8 +454,7 @@ fn run_chaos(options: &Options) {
         let _ = writeln!(json, "  \"migrations\": {},", stats.migrations());
         let _ = writeln!(json, "  \"retry_rate\": {:.6},", stats.retry_rate());
         let _ = writeln!(json, "  \"migration_rate\": {:.6},", stats.migration_rate());
-        let _ = writeln!(json, "  \"victim_submitted\": {},", victim_lane.submitted);
-        let _ = writeln!(json, "  \"victim_completed\": {},", victim_lane.completed);
+        let _ = writeln!(json, "  \"victim_selections\": {victim_selections},");
         let _ = writeln!(json, "  \"post_death_rps\": {post_rps:.0},");
         let _ = writeln!(json, "  \"never_had_device_rps\": {never_rps:.0},");
         let _ = writeln!(json, "  \"recovery_ratio\": {recovery:.2},");
@@ -573,8 +567,9 @@ fn run_overload(options: &Options) {
     calibration_pool.shutdown();
 
     // Phase 2: a fresh admission-controlled pool offered ~4x that capacity.
-    // The pool-wide in-flight cap sits below the summed queue bounds so both
-    // brakes (per-shard queue, pool-wide cap) can engage.
+    // The pool-wide in-flight cap sits below the summed queue bounds, so it
+    // binds before any per-shard queue fills: DropLowestPriority sheds by
+    // class at the cap, evicting queued lower-class work for a newcomer.
     let admission = AdmissionConfig::bounded(QUEUE_CAPACITY)
         .with_max_in_flight(options.shards * QUEUE_CAPACITY * 3 / 4)
         .with_shed_policy(ShedPolicy::DropLowestPriority);
@@ -1317,25 +1312,24 @@ fn main() {
     );
     let speedup = pooled_rps / sequential_rps;
     println!("  speedup              {speedup:>10.2}x");
-    println!("\nper-shard: (device / submitted / completed)");
+    println!("\nper-shard: (submitted / completed / migrated)");
     for shard in &stats.shards {
         println!(
-            "  shard {}: {} / {:>6} / {:>6}",
-            shard.shard, shard.device, shard.submitted, shard.completed,
+            "  shard {}: {:>6} / {:>6} / {:>6}",
+            shard.shard, shard.submitted, shard.completed, shard.migrated,
         );
     }
-    let lanes = stats.devices();
-    println!("\nper-device: (shards / submitted / completed / hits / misses / preparations)");
-    for lane in &lanes {
+    // The engine's per-device breakdown: where its selections placed work.
+    let devices: Vec<(DeviceId, EngineStats)> = engine
+        .fleet()
+        .ids()
+        .map(|device| (device, stats.device_engine(device)))
+        .collect();
+    println!("\nper-device engine: (hits / misses / preparations)");
+    for (device, counters) in &devices {
         println!(
-            "  {}: {} / {:>6} / {:>6} / {:>6} / {:>6} / {:>5}",
-            lane.device,
-            lane.shards,
-            lane.submitted,
-            lane.completed,
-            lane.engine.plan_hits,
-            lane.engine.plan_misses,
-            lane.engine.plan_preparations
+            "  {device}: {:>6} / {:>6} / {:>5}",
+            counters.plan_hits, counters.plan_misses, counters.plan_preparations
         );
     }
     println!(
@@ -1367,17 +1361,22 @@ fn main() {
         plan_keys.len() as u64,
         "each distinct (fingerprint, iterations, policy) key misses exactly once pool-wide"
     );
-    // Per-device lanes partition the pool exactly.
-    assert_eq!(
-        lanes.iter().map(|l| l.completed).sum::<u64>(),
-        stats.completed()
-    );
-    if let Some(fleet) = &fleet {
-        assert_eq!(lanes.len(), fleet.len());
-        let active = lanes.iter().filter(|lane| lane.completed > 0).count();
+    // The per-device engine counters sum to the aggregate.
+    let device_sum = devices
+        .iter()
+        .fold(EngineStats::default(), |sum, (_, counters)| {
+            sum.saturating_add(*counters)
+        });
+    assert_eq!(device_sum.selections(), aggregated.selections());
+    assert_eq!(device_sum.plan_preparations, aggregated.plan_preparations);
+    if fleet.is_some() {
+        let active = devices
+            .iter()
+            .filter(|(_, counters)| counters.selections() > 0)
+            .count();
         assert!(
             active > 1,
-            "heterogeneous traffic must exercise more than one device, got {active}"
+            "heterogeneous traffic must be placed on more than one device, got {active}"
         );
     }
     let kernel_agreement = kernel_agreements as f64 / stream.len().max(1) as f64;
@@ -1454,31 +1453,25 @@ fn main() {
             aggregated.plan_preparations
         );
         let _ = writeln!(json, "  \"devices\": [");
-        for (index, lane) in lanes.iter().enumerate() {
+        for (index, (device, counters)) in devices.iter().enumerate() {
             let _ = writeln!(json, "    {{");
-            let _ = writeln!(json, "      \"device\": \"{}\",", lane.device);
+            let _ = writeln!(json, "      \"device\": \"{device}\",");
             let _ = writeln!(
                 json,
                 "      \"name\": \"{}\",",
-                fleet.as_ref().map_or_else(
-                    || engine.gpu().spec().name.clone(),
-                    |fleet| fleet.device(lane.device).name().to_string()
-                )
+                engine.fleet().device(*device).name()
             );
-            let _ = writeln!(json, "      \"shards\": {},", lane.shards);
-            let _ = writeln!(json, "      \"submitted\": {},", lane.submitted);
-            let _ = writeln!(json, "      \"completed\": {},", lane.completed);
-            let _ = writeln!(json, "      \"plan_hits\": {},", lane.engine.plan_hits);
-            let _ = writeln!(json, "      \"plan_misses\": {},", lane.engine.plan_misses);
+            let _ = writeln!(json, "      \"plan_hits\": {},", counters.plan_hits);
+            let _ = writeln!(json, "      \"plan_misses\": {},", counters.plan_misses);
             let _ = writeln!(
                 json,
                 "      \"plan_preparations\": {}",
-                lane.engine.plan_preparations
+                counters.plan_preparations
             );
             let _ = writeln!(
                 json,
                 "    }}{}",
-                if index + 1 < lanes.len() { "," } else { "" }
+                if index + 1 < devices.len() { "," } else { "" }
             );
         }
         let _ = writeln!(json, "  ],");

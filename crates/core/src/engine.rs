@@ -22,9 +22,9 @@
 //!   plan — the materialized preprocessing structure the warm path replays.
 //!
 //! Every execute entry point runs one sequence: select (one cache lookup),
-//! pin the plan and costs (one more), compute, bill. A [`PlanActivation`]
-//! carries the pinned plan and costs, so a serving worker replaying it for a
-//! run of same-fingerprint requests does no cache lookup at all.
+//! pin the plan and costs (one more), compute, bill. A serving worker pins
+//! the plan and costs once for a run of same-fingerprint requests and
+//! replays them with no cache lookup at all.
 //!
 //! The one values-dependent artifact — the ELL slab a prepared plan may
 //! embed — carries its own values key and is *refreshed* in place (no
@@ -996,7 +996,7 @@ impl EngineWorkspace {
 }
 
 /// One resolved-and-pinned execution plan, produced by
-/// [`SeerEngine::activate_plan`] and replayed by
+/// [`SeerEngine::activate_selected`] and replayed by
 /// [`SeerEngine::try_execute_activated_into`]: the selection, the charged
 /// selection overhead (billed to exactly one execution), the pinned
 /// `Arc<PreparedPlan>` and the `(device, kernel)` costs executions are
@@ -1004,18 +1004,18 @@ impl EngineWorkspace {
 /// same-fingerprint requests, so a burst of K identical operators walks
 /// the cache once instead of K times.
 #[derive(Debug, Clone)]
-pub struct PlanActivation {
+pub(crate) struct PlanActivation {
     /// The `(kernel, device)` selection every execution in the run replays.
-    pub selection: Selection,
+    selection: Selection,
     /// The selection overhead this activation's resolve actually incurred
     /// (zero on a plan-cache hit); billed to the run's first execution.
-    pub charged_overhead: SimTime,
+    charged_overhead: SimTime,
     /// The pinned plan; `None` for the streaming baseline, which re-derives
     /// the kernel's structures on every call.
     plan: Option<Arc<PreparedPlan>>,
     costs: KernelCosts,
     /// Whether executing checks device liveness. Activations handed out by
-    /// [`SeerEngine::activate_plan`] do; the one inside `execute` does not,
+    /// [`SeerEngine::activate_selected`] do; the one inside `execute` does not,
     /// since `execute` cannot fail.
     fenced: bool,
 }
@@ -1973,37 +1973,18 @@ impl SeerEngine {
         self.execute_core(matrix, x, iterations, policy, true, workspace)
     }
 
-    /// Resolves the selection and pins the prepared plan for `matrix` in one
-    /// step, without executing anything — the front half of
-    /// [`SeerEngine::execute_with_policy_into`], split out so a serving
-    /// worker can amortize it across a run of same-fingerprint requests
-    /// (see [`crate::serving::RoutingConfig`]). The returned activation
-    /// holds the pinned `Arc<PreparedPlan>` and the kernel's costs;
-    /// executing it via [`SeerEngine::try_execute_activated_into`] skips
-    /// the selection resolve and every cache lookup.
+    /// Pins the prepared plan for a selection already resolved, without
+    /// executing anything: a serving pool selects and bills each request at
+    /// routing and pins the plan when a worker dequeues it, once per run of
+    /// same-fingerprint requests. The returned activation holds the pinned
+    /// `Arc<PreparedPlan>` and the kernel's costs; executing it via
+    /// [`SeerEngine::try_execute_activated_into`] skips the selection
+    /// resolve and every cache lookup. `charged_overhead` is billed to the
+    /// activation's first execution.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceFailed`] when the selected device is not live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` places on a device outside this engine's fleet.
-    pub fn activate_plan(
-        &self,
-        matrix: &CsrMatrix,
-        iterations: usize,
-        policy: SelectionPolicy,
-    ) -> Result<PlanActivation, DeviceFailed> {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        self.activate_selected(matrix, selection, charged_overhead)
-    }
-
-    /// The plan-pinning half of [`SeerEngine::activate_plan`], for a
-    /// selection already resolved: a serving pool selects and bills each
-    /// request at routing and pins the plan when a worker dequeues it.
-    /// `charged_overhead` is billed to the activation's first execution.
     pub(crate) fn activate_selected(
         &self,
         matrix: &CsrMatrix,
@@ -2042,7 +2023,7 @@ impl SeerEngine {
     /// # Panics
     ///
     /// Panics if `x.len() != matrix.cols()`.
-    pub fn try_execute_activated_into(
+    pub(crate) fn try_execute_activated_into(
         &self,
         activation: &PlanActivation,
         matrix: &CsrMatrix,

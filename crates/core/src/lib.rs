@@ -67,10 +67,10 @@ pub mod training;
 
 mod error;
 
-pub use engine::{EngineStats, ExplorationPolicy, PlanActivation, RecalibrationConfig, SeerEngine};
+pub use engine::{EngineStats, ExplorationPolicy, RecalibrationConfig, SeerEngine};
 pub use error::SeerError;
 pub use serving::{
-    AdmissionConfig, AdmissionPoolStats, DevicePoolStats, HistogramSnapshot, LatencySnapshot,
-    PoolConfig, PoolStats, Priority, RoutingConfig, RoutingPoolStats, ServingError, ServingPool,
-    ServingRequest, ServingResponse, ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
+    AdmissionConfig, AdmissionPoolStats, HistogramSnapshot, LatencySnapshot, PoolConfig, PoolStats,
+    Priority, RoutingConfig, RoutingPoolStats, ServingError, ServingPool, ServingRequest,
+    ServingResponse, ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
 };

@@ -31,42 +31,40 @@
 //!
 //! # Heterogeneous fleets
 //!
-//! A pool built over a multi-device [`Fleet`]
-//! ([`ServingPool::with_fleet`]) becomes a **device-aware router**:
-//! [`PoolConfig::shards`] shards are pinned to *each* device, the pool
-//! engine spans the whole fleet (so its selections are fleet-wide
-//! deterministic), and routing composes two levels:
-//!
-//! 1. **device affinity** — the pool engine resolves the request's
-//!    `(kernel, device)` selection (cached per plan key, so repeat traffic
-//!    routes with one hash probe) and picks the selected device's shard
-//!    group;
-//! 2. **shortest queue** — within the group, the shard with the fewest
-//!    pending requests takes the job, ties going to the home shard
-//!    `sparsity_fingerprint() % group_size`.
+//! A pool built over a multi-device [`Fleet`] ([`ServingPool::with_fleet`])
+//! runs one engine over the whole fleet, so its selections are fleet-wide
+//! deterministic: each request's `(kernel, device)` selection is resolved
+//! at routing (cached per plan key, so repeat traffic routes with one hash
+//! probe) and travels with the job. A worker is a host thread with its own
+//! queue, not a device: routing sends the job to the worker with the fewest
+//! pending requests whatever its selected device, and that device only
+//! decides where the job's plan activates and which device's modelled time
+//! it is billed. The pool spawns [`PoolConfig::shards`] workers per fleet
+//! device once, at construction.
 //!
 //! The workers share the engine's caches, so each `(fingerprint, device,
 //! kernel)` prepared execution plan is built exactly once pool-wide,
-//! whichever shard of the group serves it. [`PoolStats::devices`] reports
-//! per-device queue depth, served counts and the engine's per-device
-//! counters. A single-device pool is the same machinery with one group.
+//! whichever worker serves it. [`PoolStats::device_engine`] reports the
+//! engine's per-device counters. A single-device pool is the same machinery
+//! over a one-device fleet.
 //!
 //! # Elastic membership
 //!
-//! The fleet behind a running pool can change. [`ServingPool::add_device`]
-//! registers a device and publishes a fresh shard group pinned to it;
-//! [`ServingPool::retire_device`] marks the device retired, narrowly
-//! invalidates its cached kernel costs and prepared plans on the pool
-//! engine ([`SeerEngine::invalidate_device`]), unpublishes its shard group
-//! and drains the group's backlog onto surviving devices: a queued request
+//! The fleet behind a running pool can change, and the pool engine follows
+//! its generation. A device joins through the fleet
+//! ([`Fleet::add_device`]) and from then on takes part in fresh
+//! selections; no worker is spawned for it. [`ServingPool::retire_device`]
+//! marks the device retired and narrowly invalidates its cached kernel
+//! costs and prepared plans on the pool engine
+//! ([`SeerEngine::invalidate_device`]), then returns: a queued request
 //! whose selected device is no longer live re-selects once on the pool
-//! engine when its plan activates. A request whose placement device dies
-//! mid-execution (fault injection: [`Fleet::fail_device`]) is retried
-//! exactly once on a surviving device —
-//! counted in [`ShardStats::device_failures`], [`ShardStats::retried`] and
-//! [`ShardStats::migrated`] — so its [`Ticket`] resolves to a correct
-//! response instead of an error; [`ServingError::WorkerDied`] stays
-//! reserved for genuine worker panics.
+//! engine when its plan activates, and [`ServingPool::drain`] waits for
+//! that backlog. A request whose placement device dies mid-execution (fault
+//! injection: [`Fleet::fail_device`]) is retried exactly once on a
+//! surviving device — counted in [`ShardStats::device_failures`],
+//! [`ShardStats::retried`] and [`ShardStats::migrated`] — so its
+//! [`Ticket`] resolves to a correct response instead of an error;
+//! [`ServingError::WorkerDied`] stays reserved for genuine worker panics.
 //!
 //! # Admission control & overload
 //!
@@ -87,10 +85,10 @@
 //! a typed [`ShedReason`]. [`ServingPool::submit`] waits for capacity
 //! instead (backpressure, counted in
 //! [`AdmissionPoolStats::backpressure_waits`]), and
-//! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue sheds
-//! by [`ShedPolicy`]: reject the newcomer, or evict the newest
-//! strictly-lower-priority queued request to make room. A submit racing
-//! [`ServingPool::begin_shutdown`] or a retire resolves its ticket to the
+//! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue or a
+//! reached in-flight cap sheds by [`ShedPolicy`]: reject the newcomer, or
+//! evict the newest strictly-lower-priority queued request to make room. A
+//! submit racing [`ServingPool::begin_shutdown`] resolves its ticket to the
 //! typed [`ServingError::PoolClosed`] rather than panicking. Queue-wait and
 //! end-to-end latency distributions are recorded per priority class in
 //! fixed log-scale histograms ([`PoolStats::latency`], `p50/p99/p999`).
@@ -99,8 +97,7 @@
 //!
 //! One route-and-push places every request, once, in admission order: it
 //! fingerprints the matrix, resolves and bills the request's selection on
-//! the pool engine, pushes the job onto the shortest queue of the selected
-//! device's shard group, re-routes when a retire closed that queue, evicts
+//! the pool engine, pushes the job onto the shortest worker queue, evicts
 //! under [`ShedPolicy::DropLowestPriority`], and waits or sheds on a full
 //! queue. Without [`PoolConfig::with_routing`] it runs on the submitter's
 //! thread. With it:
@@ -131,7 +128,9 @@
 //! key carries the miss and the rest are pure kernel time, exactly as in a
 //! sequential replay, so responses stay **bit-identical** to sequential
 //! serving whichever worker serves them. A run whose selected device is no
-//! longer live re-selects once on the pool engine. A panic fails only its
+//! longer live re-selects once on the pool engine; a member served on a
+//! device other than its routed selection's counts as
+//! [`ShardStats::migrated`]. A panic fails only its
 //! own member. A dead placement device drops the activation, and the
 //! member is retried once on a fresh one, which the rest of the run then
 //! shares. Runs form only at dequeue, so an eviction or expiry of a queued
@@ -176,11 +175,11 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, GpuSpec, MembershipError, SimTime, SpecError};
+use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, MembershipError, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
 use crate::engine::{
@@ -192,10 +191,11 @@ use crate::training::SeerModels;
 /// Configuration of a [`ServingPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolConfig {
-    /// Number of shards (worker threads, each with its own queue) pinned to
-    /// *each* fleet device: a pool over an `N`-device fleet runs `N x
-    /// shards` workers. For the single-device constructors this is simply
-    /// the total shard count.
+    /// Number of shards (worker threads, each with its own queue) per fleet
+    /// device at construction: a pool over an `N`-device fleet spawns `N x
+    /// shards` workers once, and any worker serves a job for any device.
+    /// For the single-device constructors this is simply the total shard
+    /// count.
     pub shards: usize,
     /// Enable structure-class selection inheritance
     /// ([`SeerEngine::set_structure_class_reuse`]) on the pool engine, so
@@ -309,7 +309,8 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// What a bounded shard queue does with an incoming request when it is full.
+/// What the front door does with an incoming request when its shard queue is
+/// full or the pool-wide [`AdmissionConfig::max_in_flight`] cap is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedPolicy {
     /// Shed the incoming request (classic tail drop). Queued work is never
@@ -319,9 +320,11 @@ pub enum ShedPolicy {
     RejectNewest,
     /// Evict the newest queued request of the lowest class *strictly below*
     /// the newcomer's to make room — the victim's ticket resolves to
-    /// [`ServingError::Shed`] with [`ShedReason::Evicted`]. When nothing
+    /// [`ServingError::Shed`] with [`ShedReason::Evicted`]. A full queue
+    /// evicts from itself; a reached in-flight cap evicts pool-wide and
+    /// hands the victim's in-flight slot to the newcomer. When nothing
     /// queued ranks below the newcomer, falls back to rejecting the
-    /// newcomer.
+    /// newcomer ([`ShedReason::QueueFull`] or [`ShedReason::InFlightCap`]).
     DropLowestPriority,
 }
 
@@ -335,9 +338,12 @@ pub struct AdmissionConfig {
     /// lanes and deadlines still apply.
     pub queue_capacity: usize,
     /// Pool-wide cap on in-flight requests (admitted and not yet resolved).
-    /// `0` means uncapped.
+    /// `0` means uncapped. At the cap, [`ShedPolicy::DropLowestPriority`]
+    /// admits a newcomer by evicting a queued request of a strictly lower
+    /// class, so the cap sheds by priority too.
     pub max_in_flight: usize,
-    /// What a full shard queue does with an incoming request.
+    /// What a full shard queue or a reached in-flight cap does with an
+    /// incoming request.
     pub shed_policy: ShedPolicy,
 }
 
@@ -512,16 +518,16 @@ pub enum Workload {
         /// The dense input vector; must satisfy `x.len() == matrix.cols()`.
         x: Arc<Vec<Scalar>>,
     },
-    /// Chaos workload: panics inside the serving worker. Exists so the
+    /// Test-only chaos workload: panics inside the serving worker, so the
     /// worker-death recovery path ([`ServingError::WorkerDied`]) can be
-    /// exercised deterministically; never useful in production traffic.
-    #[doc(hidden)]
+    /// exercised deterministically.
+    #[cfg(test)]
     PanicInjection,
-    /// Chaos workload: blocks the serving worker until the shared gate is
-    /// set to `true`, then serves like [`Workload::SelectOnly`]. Exists so
-    /// tests can deterministically sequence a membership change against a
-    /// queued backlog; never useful in production traffic.
-    #[doc(hidden)]
+    /// Test-only chaos workload: blocks the serving worker until the shared
+    /// gate is set to `true`, then serves like [`Workload::SelectOnly`], so
+    /// tests can deterministically stage queue contents behind a busy
+    /// worker.
+    #[cfg(test)]
     Gate {
         /// Open the gate by setting the flag and notifying the Condvar.
         gate: Arc<(Mutex<bool>, Condvar)>,
@@ -611,7 +617,7 @@ pub struct ServingResponse {
     /// replays charge no selection overhead, exactly like
     /// [`SeerEngine::execute`].
     pub total_time: Option<SimTime>,
-    /// Index of the shard that served the request.
+    /// Index of the shard (worker) whose queue held the request.
     pub shard: usize,
 }
 
@@ -1036,9 +1042,6 @@ impl LatencySnapshot {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// The fleet device this shard is pinned to (always the default device
-    /// in a single-device pool).
-    pub device: DeviceId,
     /// Requests accepted (routed and enqueued) by this shard.
     pub submitted: u64,
     /// Requests fully resolved by this shard — served, failed, expired,
@@ -1070,9 +1073,10 @@ pub struct ShardStats {
     /// Requests that were retried once after their first attempt died on a
     /// failed device.
     pub retried: u64,
-    /// Requests served successfully by this shard while its pinned device
-    /// was no longer live — drained backlog and retried work that migrated
-    /// to a surviving device.
+    /// Requests served successfully by this shard on a different device
+    /// from the one their routed selection chose: backlog re-selected after
+    /// its device retired or failed, and work retried after its device died
+    /// mid-execution.
     pub migrated: u64,
 }
 
@@ -1080,66 +1084,6 @@ impl ShardStats {
     /// Requests accepted but not yet resolved.
     pub fn queue_depth(&self) -> u64 {
         self.submitted.saturating_sub(self.completed)
-    }
-}
-
-/// Per-device rollup of a fleet pool's counters: the shards pinned to one
-/// device, summed, so the balance identity on [`ShardStats::served`] holds
-/// for each lane too, plus the pool engine's counters for the device. Built
-/// by [`PoolStats::devices`]. `Default` is the empty lane of the default
-/// device: all counters zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DevicePoolStats {
-    /// The device this lane serves.
-    pub device: DeviceId,
-    /// Number of shards pinned to the device.
-    pub shards: usize,
-    /// Requests routed to the device's shard group.
-    pub submitted: u64,
-    /// Requests resolved (served, failed, expired, evicted or
-    /// device-failed) by the device's shard group.
-    pub completed: u64,
-    /// Requests served successfully across the device's shards.
-    pub served: u64,
-    /// Requests dropped by worker panics across the device's shards.
-    /// Requests whose bounded device retry was exhausted are not included.
-    pub failed: u64,
-    /// Deadline-expired requests shed at dequeue across the device's
-    /// shards.
-    pub expired: u64,
-    /// Queued requests evicted by higher-priority arrivals across the
-    /// device's shards.
-    pub shed: u64,
-    /// Dead-device execution attempts across the device's shards.
-    pub device_failures: u64,
-    /// Requests retried once across the device's shards.
-    pub retried: u64,
-    /// Requests served by this device's shards after the device stopped
-    /// being live (drained/migrated work).
-    pub migrated: u64,
-    /// The pool engine's device-attributable counters for this device
-    /// ([`SeerEngine::device_stats`]): hits and misses of the selections it
-    /// placed here, and the preparations, evictions and resident bytes of
-    /// its prepared plans for this device. Work shared across devices
-    /// (profile passes, feature collections) is only in
-    /// [`PoolStats::engine`].
-    pub engine: EngineStats,
-}
-
-impl DevicePoolStats {
-    /// Requests accepted by this device's shards but not yet served.
-    pub fn queue_depth(&self) -> u64 {
-        self.submitted.saturating_sub(self.completed)
-    }
-
-    /// Fraction of this device lane's resolved requests that failed, in
-    /// `[0, 1]`. `0.0` when nothing has resolved yet — never `NaN`.
-    pub fn failure_rate(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.failed as f64 / self.completed as f64
-        }
     }
 }
 
@@ -1265,41 +1209,18 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Per-device rollups, in device order: each entry sums the shards
-    /// pinned to that device, so the entries partition the pool and their
-    /// sums equal the aggregate counters. Each lane's engine counters are
-    /// the pool engine's for that device.
-    pub fn devices(&self) -> Vec<DevicePoolStats> {
-        let mut lanes: Vec<DevicePoolStats> = Vec::new();
-        for shard in &self.shards {
-            let lane = match lanes.iter_mut().find(|lane| lane.device == shard.device) {
-                Some(lane) => lane,
-                None => {
-                    lanes.push(DevicePoolStats {
-                        device: shard.device,
-                        engine: self
-                            .device_engines
-                            .get(shard.device.index())
-                            .copied()
-                            .unwrap_or_default(),
-                        ..DevicePoolStats::default()
-                    });
-                    lanes.last_mut().expect("just pushed")
-                }
-            };
-            lane.shards += 1;
-            lane.submitted = lane.submitted.saturating_add(shard.submitted);
-            lane.completed = lane.completed.saturating_add(shard.completed);
-            lane.served = lane.served.saturating_add(shard.served);
-            lane.failed = lane.failed.saturating_add(shard.failed);
-            lane.expired = lane.expired.saturating_add(shard.expired);
-            lane.shed = lane.shed.saturating_add(shard.shed);
-            lane.device_failures = lane.device_failures.saturating_add(shard.device_failures);
-            lane.retried = lane.retried.saturating_add(shard.retried);
-            lane.migrated = lane.migrated.saturating_add(shard.migrated);
-        }
-        lanes.sort_by_key(|lane| lane.device);
-        lanes
+    /// The pool engine's device-attributable counters for one fleet device
+    /// ([`SeerEngine::device_stats`]): hits and misses of the selections it
+    /// placed there, and the preparations, evictions and resident bytes of
+    /// its prepared plans for that device. Over every fleet device these
+    /// sum to the attributable part of [`PoolStats::engine`]; work shared
+    /// across devices (profile passes, feature collections) is only there.
+    /// All zero for a device outside the fleet.
+    pub fn device_engine(&self, device: DeviceId) -> EngineStats {
+        self.device_engines
+            .get(device.index())
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Total requests accepted across all shards.
@@ -1390,8 +1311,8 @@ impl PoolStats {
             .fold(0, |n, s| n.saturating_add(s.retried))
     }
 
-    /// Total requests served by a shard whose pinned device was no longer
-    /// live — drained backlog and retried work re-homed onto survivors.
+    /// Total requests served on a different device from the one their
+    /// routed selection chose (see [`ShardStats::migrated`]).
     pub fn migrations(&self) -> u64 {
         self.shards
             .iter()
@@ -1420,9 +1341,9 @@ impl PoolStats {
         }
     }
 
-    /// Fraction of resolved requests that were served off their submission
-    /// device, in `[0, 1]`. `0.0` when nothing has resolved yet — never
-    /// `NaN`.
+    /// Fraction of resolved requests that were served off their routed
+    /// selection's device, in `[0, 1]`. `0.0` when nothing has resolved yet
+    /// — never `NaN`.
     pub fn migration_rate(&self) -> f64 {
         let completed = self.completed();
         if completed == 0 {
@@ -1467,11 +1388,11 @@ struct Job {
     /// queue-wait sample, and of its end-to-end sample if it was never
     /// staged.
     queued: Instant,
-    /// The matrix's sparsity fingerprint: the home shard within the device
-    /// group, and the dequeue-time batching probe's first key.
+    /// The matrix's sparsity fingerprint: the home shard, and the
+    /// dequeue-time batching probe's first key.
     fingerprint: u64,
-    /// The selection resolved on the pool engine; its device picks the
-    /// shard group.
+    /// The selection resolved on the pool engine; its device is where the
+    /// job's plan activates while that device stays live.
     selection: Selection,
     /// The selection overhead that resolve incurred, billed to this job's
     /// execution: the miss for the first admitted request of a plan key,
@@ -1532,8 +1453,8 @@ struct QueueState {
     /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`]; the
     /// worker always drains the lowest-index non-empty lane first.
     lanes: [VecDeque<Job>; 3],
-    /// Closed by shutdown or this shard's device retirement: pushes are
-    /// refused and the worker exits once the lanes are empty.
+    /// Closed by shutdown: pushes are refused and the worker exits once the
+    /// lanes are empty.
     closed: bool,
     /// Pushers currently parked on `space`; the worker skips the notify
     /// syscall when nobody waits.
@@ -1544,16 +1465,34 @@ impl QueueState {
     fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
     }
+
+    /// The drop-lowest-priority victim for a newcomer in `lane`: the newest
+    /// job of the lowest class strictly below it — the request that has
+    /// waited least in the most sheddable lane.
+    fn evict_below(&mut self, lane: usize) -> Option<Job> {
+        let (victim_lane, _) = self.victim_below(lane)?;
+        self.lanes[victim_lane].pop_back()
+    }
+
+    /// What [`QueueState::evict_below`] would take, ranked for a pool-wide
+    /// choice: the lowest class first (the larger lane index), then the
+    /// newest job.
+    fn victim_below(&self, lane: usize) -> Option<(usize, Instant)> {
+        (lane + 1..self.lanes.len())
+            .rev()
+            .find_map(|index| Some((index, self.lanes[index].back()?.queued)))
+    }
 }
 
 impl ShardQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Marks the queue closed and wakes the worker (to drain and exit) and
-    /// every backpressured pusher (to re-route or shed). Idempotent.
+    /// every backpressured pusher (to shed). Idempotent.
     fn close(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
+        self.lock().closed = true;
         self.available.notify_all();
         self.space.notify_all();
     }
@@ -1569,8 +1508,7 @@ impl ShardQueue {
     /// would-be-batchmate needs no special casing.
     fn pop_run(&self, run: &mut Vec<Job>, max_batch: usize) -> bool {
         run.clear();
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mut state, _) = wait_for(&self.available, state, None, |state| {
+        let (mut state, _) = wait_for(&self.available, self.lock(), None, |state| {
             (state.closed || state.len() > 0).then_some(())
         });
         let Some(lane) = state.lanes.iter_mut().find(|lane| !lane.is_empty()) else {
@@ -1590,7 +1528,7 @@ impl ShardQueue {
     /// `capacity`, closes, or `deadline` passes. Returns `false` only on
     /// timeout; room and a close both mean "route and push again".
     fn wait_for_space(&self, capacity: usize, deadline: Option<Instant>) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.lock();
         state.space_waiters += 1;
         let (mut state, ready) = wait_for(&self.space, state, deadline, |state| {
             (state.closed || state.len() < capacity).then_some(())
@@ -1851,19 +1789,16 @@ struct ShardCounters {
     device_failures: AtomicU64,
     /// Requests retried once after a dead-device first attempt.
     retried: AtomicU64,
-    /// Requests served while the shard's pinned device was not live.
+    /// Requests served on a device other than their routed selection's.
     migrated: AtomicU64,
 }
 
-/// One shard: a worker's queue and counters, pinned to a device, shared by
-/// the pool core and the shard's worker thread.
+/// One shard: a worker's queue and counters, shared by the pool core and the
+/// shard's worker thread.
 struct Shard {
     index: usize,
-    /// The fleet device this shard is pinned to: device-affinity routing
-    /// only sends it requests whose selection placed the workload here.
-    device: DeviceId,
-    /// Closed (never dropped) by shutdown or this shard's device
-    /// retirement; the worker drains the backlog and exits.
+    /// Closed (never dropped) by shutdown; the worker drains the backlog and
+    /// exits.
     queue: ShardQueue,
     /// Requests pushed onto the queue.
     submitted: AtomicU64,
@@ -1880,28 +1815,12 @@ impl Shard {
     }
 }
 
-/// The membership-mutable part of a pool: the shards, their worker threads
-/// and the per-device shard groups. One `RwLock` guards all three, so
-/// routing reads a consistent snapshot while [`ServingPool::add_device`] /
-/// [`ServingPool::retire_device`] mutate membership under the write side.
-#[derive(Default)]
-struct PoolInner {
-    /// Append-only, like the fleet roster, so shard indices in issued
-    /// tickets stay valid.
-    shards: Vec<Arc<Shard>>,
-    /// Each shard's worker, by shard index; taken and joined by a retire of
-    /// its device or by shutdown.
-    workers: Vec<Option<JoinHandle<()>>>,
-    /// Shard indices pinned to each device, indexed by [`DeviceId`]. A
-    /// retired device's group is emptied in place, so indexing by device id
-    /// keeps working.
-    device_groups: Vec<Vec<usize>>,
-}
-
 /// What the pool handle, the routing worker and every shard worker share,
 /// through one `Arc`.
 struct PoolCore {
-    inner: RwLock<PoolInner>,
+    /// One per worker, fixed at construction, so shard indices in tickets
+    /// and stats stay valid for the pool's lifetime.
+    shards: Vec<Shard>,
     /// The pool engine: routing selects every request on it, and every
     /// worker executes its prepared plans.
     engine: SeerEngine,
@@ -1911,8 +1830,8 @@ struct PoolCore {
     /// The bounded submit-side stage, present only with [`RoutingConfig`].
     stage: Option<RoutingStage>,
     latency: LatencyRecorder,
-    /// Set by shutdown: a push refused by a closed queue then sheds typed
-    /// instead of re-routing.
+    /// Set by shutdown: admission then refuses new requests with
+    /// [`ShedReason::PoolClosed`].
     closing: AtomicBool,
 }
 
@@ -1928,26 +1847,68 @@ impl PoolCore {
             .stage
             .as_ref()
             .map_or(0, |stage| stage.in_stage.load(Ordering::SeqCst));
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .shards
+        self.shards
             .iter()
             .fold(in_stage, |n, shard| n.saturating_add(shard.pending()))
+    }
+
+    /// The routing rule: the shard with the fewest pending requests, ties
+    /// going to the home shard `fingerprint % shards`, so an idle pool keeps
+    /// each matrix on one shard while a burst spreads over idle workers.
+    fn route(&self, fingerprint: u64) -> &Shard {
+        let count = self.shards.len();
+        let home = (fingerprint % count as u64) as usize;
+        (0..count)
+            .map(|offset| &self.shards[(home + offset) % count])
+            .min_by_key(|shard| shard.pending())
+            .expect("a pool has at least one shard")
+    }
+
+    /// Under [`ShedPolicy::DropLowestPriority`], evicts the newest queued
+    /// job of the lowest class strictly below `class` pool-wide — the rule
+    /// a full queue applies to itself in [`push_job`] — and resolves it.
+    /// The victim's in-flight slot passes to the caller, so the gauge does
+    /// not move. Returns `false` when nothing queued ranks below `class` or
+    /// the policy rejects the newcomer instead.
+    fn evict_for_in_flight(&self, class: Priority) -> bool {
+        if self.front_door.config.shed_policy != ShedPolicy::DropLowestPriority {
+            return false;
+        }
+        let lane = class.lane();
+        // A worker may dequeue the chosen victim before the eviction locks
+        // its queue again; then look again.
+        while let Some((_, shard)) = self
+            .shards
+            .iter()
+            .filter_map(|shard| Some((shard.queue.lock().victim_below(lane)?, shard)))
+            .max_by_key(|(rank, _)| *rank)
+        {
+            // Released before the victim resolves, so the worker keeps popping.
+            let victim = shard.queue.lock().evict_below(lane);
+            if let Some(victim) = victim {
+                evicted(shard, victim);
+                shard.counters.completed.fetch_add(1, Ordering::SeqCst);
+                self.progress.notify();
+                return true;
+            }
+        }
+        false
     }
 }
 
 /// A sharded, multi-threaded serving front-end for Seer selections — and,
-/// over a multi-device [`Fleet`], a device-aware router with elastic
-/// runtime membership.
+/// over a multi-device [`Fleet`], a fleet-wide placer with elastic runtime
+/// membership.
 ///
 /// See the [module docs](self) for the sharding, routing, determinism and
 /// membership model.
 pub struct ServingPool {
-    /// The construction config, kept so shards spawned by a runtime
-    /// [`ServingPool::add_device`] match the original shards per device, and
-    /// for the stats' `enabled` flags.
+    /// The construction config, kept for the stats' `enabled` flags.
     config: PoolConfig,
     core: Arc<PoolCore>,
+    /// One worker per shard, by shard index; joined by
+    /// [`ServingPool::stop_workers`].
+    workers: Vec<JoinHandle<()>>,
     /// The routing worker draining the stage, present only with
     /// [`RoutingConfig`]; joined by [`ServingPool::stop_workers`].
     routing_worker: Option<JoinHandle<()>>,
@@ -1969,8 +1930,8 @@ impl ServingPool {
         Self::with_fleet(Fleet::single(gpu), models, config)
     }
 
-    /// Builds a fleet pool: `config.shards` shards pinned to *each* fleet
-    /// device (so `fleet.len() x config.shards` workers in total) and one
+    /// Builds a fleet pool: `config.shards` workers per fleet device (so
+    /// `fleet.len() x config.shards` workers in total, spawned once) and one
     /// engine over the whole fleet. Routing selects — and so places — every
     /// request on that engine, and every worker executes its prepared plans,
     /// so the selections the pool serves are identical to a sequential fleet
@@ -1980,11 +1941,19 @@ impl ServingPool {
             shards: config.shards.max(1),
             ..config
         };
+        let workers = fleet.len() * config.shards;
         let engine = SeerEngine::with_fleet(fleet, models);
         engine.set_structure_class_reuse(config.structure_class_reuse);
         engine.set_recalibration(config.recalibration);
         let core = Arc::new(PoolCore {
-            inner: RwLock::default(),
+            shards: (0..workers)
+                .map(|index| Shard {
+                    index,
+                    queue: ShardQueue::default(),
+                    submitted: AtomicU64::new(0),
+                    counters: ShardCounters::default(),
+                })
+                .collect(),
             engine,
             progress: Progress::default(),
             front_door: FrontDoor {
@@ -2006,91 +1975,31 @@ impl ServingPool {
                 .spawn(move || routing_worker_loop(&core))
                 .expect("spawn routing worker")
         });
-        let pool = Self {
-            config,
-            core,
-            routing_worker,
-            started: Instant::now(),
-        };
-        for device in pool.fleet().ids() {
-            pool.attach_device(device);
-        }
-        pool
-    }
-
-    /// Joins a new device to the *running* pool: registers it with the
-    /// fleet, then spawns [`PoolConfig::shards`] shards pinned to it. From
-    /// then on the pool engine places fresh selections across the grown
-    /// fleet; plans it already cached keep their placement, as on a
-    /// standalone engine. In-flight submits race harmlessly: until the new
-    /// shard group is published they route to the existing groups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] if the device specification is invalid.
-    pub fn add_device(&self, spec: GpuSpec) -> Result<DeviceId, SpecError> {
-        let device = self.fleet().add_device(spec)?;
-        self.attach_device(device);
-        Ok(device)
-    }
-
-    /// [`ServingPool::add_device`] with an explicit name and prebuilt GPU
-    /// model, mirroring [`Fleet::add_device_named`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] if the device specification is invalid.
-    pub fn add_device_named(
-        &self,
-        name: impl Into<String>,
-        gpu: Arc<Gpu>,
-    ) -> Result<DeviceId, SpecError> {
-        let device = self.fleet().add_device_named(name, gpu)?;
-        self.attach_device(device);
-        Ok(device)
-    }
-
-    /// Spawns and publishes the shards of a device already registered with
-    /// the fleet.
-    fn attach_device(&self, device: DeviceId) {
-        let mut inner = self
-            .core
-            .inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if inner.device_groups.len() <= device.index() {
-            inner.device_groups.resize(device.index() + 1, Vec::new());
-        }
-        for _ in 0..self.config.shards {
-            let index = inner.shards.len();
-            let shard = Arc::new(Shard {
-                index,
-                device,
-                queue: ShardQueue::default(),
-                submitted: AtomicU64::new(0),
-                counters: ShardCounters::default(),
-            });
-            let worker = {
-                let (core, shard) = (Arc::clone(&self.core), Arc::clone(&shard));
+        let workers = (0..workers)
+            .map(|index| {
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("seer-shard-{index}"))
-                    .spawn(move || worker_loop(&core, &shard))
+                    .spawn(move || worker_loop(&core, &core.shards[index]))
                     .expect("spawn serving worker")
-            };
-            inner.device_groups[device.index()].push(index);
-            inner.shards.push(shard);
-            inner.workers.push(Some(worker));
+            })
+            .collect();
+        Self {
+            config,
+            core,
+            workers,
+            routing_worker,
+            started: Instant::now(),
         }
     }
 
-    /// Retires a device from the running pool. The fleet marks it retired
-    /// (new selections skip it), the pool engine drops the device's cached
-    /// kernel costs, prepared plans and recalibration factors
-    /// ([`SeerEngine::invalidate_device`]), the device's shard group is
-    /// unpublished, and the group's queued backlog drains on its own
-    /// workers — each queued request re-selects once onto a surviving
-    /// device, counted in [`ShardStats::migrated`] — before this call
-    /// returns.
+    /// Retires a device from the running pool: the fleet marks it retired
+    /// (new selections skip it), and the pool engine drops the device's
+    /// cached kernel costs, prepared plans and recalibration factors
+    /// ([`SeerEngine::invalidate_device`]). Returns at once: a request
+    /// already queued for the device re-selects once onto a surviving
+    /// device when a worker dequeues it, counted in [`ShardStats::migrated`].
+    /// Call [`ServingPool::drain`] to wait for that backlog.
     ///
     /// # Errors
     ///
@@ -2098,36 +2007,7 @@ impl ServingPool {
     /// retire, or retiring the last live device — without touching the pool.
     pub fn retire_device(&self, device: DeviceId) -> Result<(), MembershipError> {
         self.fleet().retire_device(device)?;
-        // Narrow invalidation: queued work re-selects against the shrunken
-        // live set.
         self.core.engine.invalidate_device(device);
-        // Unpublish the group and close its queues under the write lock —
-        // a submit that raced past routing either reached the queue before
-        // this (its job drains below) or re-routes to survivors.
-        let workers: Vec<JoinHandle<()>> = {
-            let mut inner = self
-                .core
-                .inner
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let group = inner
-                .device_groups
-                .get_mut(device.index())
-                .map(std::mem::take)
-                .unwrap_or_default();
-            group
-                .into_iter()
-                .filter_map(|index| {
-                    inner.shards[index].queue.close();
-                    inner.workers[index].take()
-                })
-                .collect()
-        };
-        // Joining outside the lock lets submit-side progress (stats, drain)
-        // proceed while the group winds down.
-        for worker in workers {
-            join_worker(worker);
-        }
         Ok(())
     }
 
@@ -2141,16 +2021,10 @@ impl ServingPool {
         Self::with_fleet(engine.fleet().clone(), engine.models_handle(), config)
     }
 
-    /// Number of shards ever spawned, including the (drained, stopped)
-    /// shards of retired devices — shard indices are append-only so ticket
-    /// and stats indices stay valid across membership changes.
+    /// Number of shards (worker threads), fixed at construction: a device
+    /// joining or retiring later neither spawns nor stops a worker.
     pub fn shards(&self) -> usize {
-        self.core
-            .inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shards
-            .len()
+        self.core.shards.len()
     }
 
     /// The device fleet this pool routes over.
@@ -2242,7 +2116,9 @@ impl ServingPool {
             deadline,
             uncounted: Some(&door.backpressure_waits),
         };
-        if !door.reserve_in_flight() {
+        // At the cap, DropLowestPriority first takes the slot of a queued
+        // lower-class job; a blocking submit tries that before it waits.
+        if !door.reserve_in_flight() && !core.evict_for_in_flight(request.priority) {
             if !block {
                 return self.refuse(ShedReason::InFlightCap);
             }
@@ -2344,13 +2220,7 @@ impl ServingPool {
         if let Some(stage) = &self.core.stage {
             stage.close();
         }
-        for shard in &self
-            .core
-            .inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shards
-        {
+        for shard in &self.core.shards {
             shard.queue.close();
         }
     }
@@ -2371,13 +2241,11 @@ impl ServingPool {
     /// Current per-shard and aggregate counters.
     pub fn stats(&self) -> PoolStats {
         let core = &*self.core;
-        let inner = core.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let shards: Vec<ShardStats> = inner
+        let shards: Vec<ShardStats> = core
             .shards
             .iter()
             .map(|shard| ShardStats {
                 shard: shard.index,
-                device: shard.device,
                 submitted: shard.submitted.load(Ordering::Acquire),
                 completed: shard.counters.completed.load(Ordering::Acquire),
                 served: shard.counters.served.load(Ordering::Acquire),
@@ -2389,7 +2257,6 @@ impl ServingPool {
                 migrated: shard.counters.migrated.load(Ordering::Acquire),
             })
             .collect();
-        drop(inner);
         let door = &core.front_door;
         let routing = &core.routing;
         PoolStats {
@@ -2434,9 +2301,7 @@ impl ServingPool {
     }
 
     /// Graceful stop: closing each queue lets its worker finish the backlog
-    /// and exit; joining guarantees no thread outlives the pool. Safe to
-    /// run concurrently with a retire-drain — whichever side takes a worker
-    /// handle first joins it.
+    /// and exit; joining guarantees no thread outlives the pool.
     ///
     /// The routing stage winds down *first*, while the shard queues are
     /// still open: the routing worker routes every in-stage request to a
@@ -2453,18 +2318,10 @@ impl ServingPool {
         if let Some(worker) = self.routing_worker.take() {
             join_worker(worker);
         }
-        let workers: Vec<JoinHandle<()>> = {
-            let mut inner = self
-                .core
-                .inner
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            for shard in &inner.shards {
-                shard.queue.close();
-            }
-            inner.workers.iter_mut().filter_map(Option::take).collect()
-        };
-        for worker in workers {
+        for shard in &self.core.shards {
+            shard.queue.close();
+        }
+        for worker in self.workers.drain(..) {
             join_worker(worker);
         }
     }
@@ -2485,64 +2342,30 @@ fn join_worker(worker: JoinHandle<()>) {
     }
 }
 
-/// The routing function, applied under one read of the pool's `inner` lock:
-/// the shard of `device`'s group with the fewest pending requests, ties
-/// going to the home shard `fingerprint % group_size`, so an idle pool keeps
-/// each matrix on one shard. If the group is gone (retired between
-/// selection and routing), the first surviving group takes the job, and its
-/// worker re-selects at dequeue.
-fn route_in(inner: &PoolInner, fingerprint: u64, device: DeviceId) -> usize {
-    let group = inner
-        .device_groups
-        .get(device.index())
-        .filter(|group| !group.is_empty())
-        .or_else(|| inner.device_groups.iter().find(|group| !group.is_empty()))
-        .expect("the last live device cannot retire, so a shard group survives");
-    let home = (fingerprint % group.len() as u64) as usize;
-    (0..group.len())
-        .map(|offset| group[(home + offset) % group.len()])
-        .min_by_key(|&index| inner.shards[index].pending())
-        .expect("shard groups are never empty")
-}
-
 /// What one push attempt against a shard queue produced. `Full` and
-/// `Closed` hand the job back so the caller can wait, re-route or shed it.
+/// `Closed` hand the job back so the caller can wait or shed it.
 enum PushAttempt {
     /// Queued — under [`ShedPolicy::DropLowestPriority`] by evicting the
     /// returned strictly-lower-priority victim, which the caller resolves
-    /// outside the locks.
+    /// outside the lock.
     Queued(Option<Job>),
     Full(Job),
     Closed(Job),
 }
 
-/// One push attempt against a shard's queue, under the caller's `inner`
-/// read guard. Stamps the job's queue entry, the zero point of its
-/// queue-wait sample.
+/// One push attempt against a shard's queue. Stamps the job's queue entry,
+/// the zero point of its queue-wait sample.
 fn push_job(shard: &Shard, mut job: Job, admission: &AdmissionConfig) -> PushAttempt {
     job.responder.shard = shard.index;
     let lane = job.request.priority.lane();
-    let mut state = shard
-        .queue
-        .state
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut state = shard.queue.lock();
     if state.closed {
         return PushAttempt::Closed(job);
     }
     let mut victim = None;
     if admission.queue_capacity > 0 && state.len() >= admission.queue_capacity {
-        // Drop-lowest-priority: evict the *newest* job of the lowest class
-        // strictly below the newcomer — the request that has waited least
-        // in the most sheddable lane.
         if admission.shed_policy == ShedPolicy::DropLowestPriority {
-            victim = state
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .rev()
-                .find(|(index, queue)| *index > lane && !queue.is_empty())
-                .and_then(|(_, queue)| queue.pop_back());
+            victim = state.evict_below(lane);
         }
         if victim.is_none() {
             return PushAttempt::Full(job);
@@ -2558,19 +2381,23 @@ fn push_job(shard: &Shard, mut job: Job, admission: &AdmissionConfig) -> PushAtt
     PushAttempt::Queued(victim)
 }
 
+/// Resolves a queued job evicted from `shard` by a higher-priority arrival
+/// and counts it shed. The caller completes it: the victim was admitted, so
+/// it counted as submitted.
+fn evicted(shard: &Shard, victim: Job) {
+    victim.responder.resolve(Err(ServingError::Shed {
+        reason: ShedReason::Evicted { shard: shard.index },
+    }));
+    shard.counters.shed.fetch_add(1, Ordering::SeqCst);
+}
+
 /// Routes one admitted request and pushes it; returns the shard's index.
 /// The request's selection is resolved and billed on the pool engine once,
-/// here, in admission order, and travels with the job. A queue closed by a
-/// retire re-routes to the survivors (the retire unpublished the group in
-/// the critical section that closed its queues); one closed by shutdown
-/// hands the job back with [`ShedReason::PoolClosed`]. A full queue evicts
-/// under [`ShedPolicy::DropLowestPriority`], then sheds or waits for space
-/// as `wait` says. Both `admit` (on the submitter's thread) and the routing
-/// worker place jobs through here.
-///
-/// Holding the `inner` read guard across the push is the no-lost-ticket
-/// guarantee: a group cannot be unpublished between routing to it and
-/// landing in its queue.
+/// here, in admission order, and travels with the job. A queue closed by
+/// shutdown hands the job back with [`ShedReason::PoolClosed`]. A full queue
+/// evicts under [`ShedPolicy::DropLowestPriority`], then sheds or waits for
+/// space as `wait` says. Both `admit` (on the submitter's thread) and the
+/// routing worker place jobs through here.
 fn route_and_push(
     core: &PoolCore,
     request: ServingRequest,
@@ -2592,20 +2419,11 @@ fn route_and_push(
         charge,
     };
     loop {
-        let (shard, attempt) = {
-            let inner = core.inner.read().unwrap_or_else(PoisonError::into_inner);
-            let shard = &inner.shards[route_in(&inner, job.fingerprint, job.selection.device)];
-            (Arc::clone(shard), push_job(shard, job, admission))
-        };
-        match attempt {
+        let shard = core.route(job.fingerprint);
+        match push_job(shard, job, admission) {
             PushAttempt::Queued(victim) => {
                 if let Some(victim) = victim {
-                    // The victim was admitted (it counted as submitted), so
-                    // the eviction completes it, counted shed.
-                    victim.responder.resolve(Err(ServingError::Shed {
-                        reason: ShedReason::Evicted { shard: shard.index },
-                    }));
-                    shard.counters.shed.fetch_add(1, Ordering::SeqCst);
+                    evicted(shard, victim);
                     finish_job(core, &shard.counters);
                 }
                 return Ok(shard.index);
@@ -2624,10 +2442,7 @@ fn route_and_push(
                 }
             }
             PushAttempt::Closed(returned) => {
-                job = returned;
-                if core.closing.load(Ordering::SeqCst) {
-                    return Err((job.responder, ShedReason::PoolClosed));
-                }
+                return Err((returned.responder, ShedReason::PoolClosed));
             }
         }
     }
@@ -2712,8 +2527,8 @@ fn deadline_expired(request: &ServingRequest) -> bool {
 ///   then shares. A retry that dies too resolves to
 ///   [`ServingError::DeviceFailed`].
 ///
-/// A member served while this shard's pinned device is no longer live
-/// (drained backlog after a retire, or a re-placed retry) counts as
+/// A member served on a different device from the one its routed selection
+/// chose (backlog re-selected after a retire, or a re-placed retry) counts as
 /// [`ShardStats::migrated`].
 fn serve_dequeued(
     core: &PoolCore,
@@ -2765,7 +2580,9 @@ fn serve_dequeued(
             }
         };
         let served = outcome.is_ok();
-        let migrated = served && !engine.fleet().is_live(shard.device);
+        let migrated = outcome
+            .as_ref()
+            .is_ok_and(|response| response.selection.device != job.selection.device);
         // Resolve the ticket before counting the job completed: a drain
         // woken by the completion must find the outcome in place.
         job.responder.resolve(outcome);
@@ -2869,7 +2686,9 @@ fn try_member(
 fn activate(engine: &SeerEngine, job: &Job) -> Result<RunPlan, DeviceFailed> {
     let request = &job.request;
     match &request.workload {
+        #[cfg(test)]
         Workload::PanicInjection => panic!("injected worker panic"),
+        #[cfg(test)]
         Workload::Gate { gate } => {
             let (lock, opened) = &**gate;
             let open = lock.lock().unwrap_or_else(PoisonError::into_inner);
@@ -3160,18 +2979,24 @@ mod tests {
             ))
             .wait()
             .expect("healthy worker");
+        pool.drain();
         let stats = pool.stats();
         assert!(stats.router.is_none());
-        let lanes = stats.devices();
-        assert_eq!(lanes.len(), 1);
-        assert_eq!(lanes[0].device, seer_gpu::DeviceId::DEFAULT);
-        assert_eq!(lanes[0].shards, 3);
-        assert_eq!(lanes[0].submitted, stats.submitted());
-        assert_eq!(lanes[0].completed, stats.completed());
+        assert_eq!(stats.shards.len(), 3);
+        // One device lane: the default device carries the pool's selection,
+        // and no other device reports any.
+        assert_eq!(stats.device_engine(DeviceId::DEFAULT).selections(), 1);
+        assert_eq!(stats.engine().selections(), 1);
+        assert_eq!(
+            stats.device_engine(DeviceId::new(1)),
+            EngineStats::default()
+        );
+        assert_eq!(stats.submitted(), 1);
+        assert_eq!(stats.completed(), 1);
     }
 
     #[test]
-    fn fleet_pool_matches_a_sequential_fleet_engine_and_pins_devices() {
+    fn fleet_pool_matches_a_sequential_fleet_engine_across_devices() {
         use seer_gpu::Fleet;
 
         let entries = generate(&CollectionConfig::tiny());
@@ -3209,22 +3034,14 @@ mod tests {
                 pool.submit(ServingRequest::select(Arc::clone(matrix), *iterations))
             })
             .collect();
-        let stats_devices: Vec<DeviceId> = pool
-            .stats()
-            .shards
-            .iter()
-            .map(|shard| shard.device)
-            .collect();
         let mut placed = std::collections::HashSet::new();
         for (ticket, (matrix, iterations)) in tickets.into_iter().zip(&requests) {
             let response = ticket.wait().expect("healthy worker");
             let expected =
                 reference.select_with_policy(matrix, *iterations, SelectionPolicy::Adaptive);
             // Pooled selections are bit-identical to a sequential fleet
-            // engine, and every request landed on a shard pinned to the
-            // device its selection placed it on.
+            // engine, whichever worker served them.
             assert_eq!(response.selection, expected);
-            assert_eq!(stats_devices[response.shard], expected.device);
             placed.insert(expected.device);
         }
         // The heterogeneous corpus genuinely spread across devices.
@@ -3233,21 +3050,26 @@ mod tests {
             "expected placements on more than one device, got {placed:?}"
         );
 
-        let stats = pool.stats();
+        let stats = pool.shutdown();
         assert!(stats.router.is_none(), "the pool engine is the router");
-        let lanes = stats.devices();
-        assert_eq!(lanes.iter().map(|l| l.shards).sum::<usize>(), pool.shards());
+        assert_eq!(stats.completed(), requests.len() as u64);
         assert_eq!(
-            lanes.iter().map(|l| l.submitted).sum::<u64>(),
-            stats.submitted()
+            stats.migrations(),
+            0,
+            "every request ran where it was placed"
         );
-        assert_eq!(
-            lanes.iter().map(|l| l.completed).sum::<u64>(),
-            stats.completed()
-        );
-        // One selection per request, made on the pool engine at routing.
+        // One selection per request, made on the pool engine at routing, and
+        // the per-device breakdown places each of them on exactly one device.
         assert_eq!(stats.engine().selections(), requests.len() as u64);
-        pool.shutdown();
+        let per_device: Vec<u64> = fleet
+            .ids()
+            .map(|device| stats.device_engine(device).selections())
+            .collect();
+        assert_eq!(per_device.iter().sum::<u64>(), requests.len() as u64);
+        assert!(
+            per_device.iter().filter(|&&n| n > 0).count() > 1,
+            "the engine placed traffic on more than one device: {per_device:?}"
+        );
     }
 
     #[test]
@@ -3333,8 +3155,7 @@ mod tests {
         assert_eq!(stats.failed(), 1);
         assert_eq!(stats.shards[shard].failed, 1);
         assert!((stats.failure_rate() - 1.0 / 3.0).abs() < 1e-12);
-        let lanes = stats.devices();
-        assert_eq!(lanes.iter().map(|lane| lane.failed).sum::<u64>(), 1);
+        assert_balanced(&stats);
         let final_stats = pool.shutdown();
         assert_eq!(final_stats.queue_depth(), 0);
     }
@@ -3596,9 +3417,10 @@ mod tests {
 
     #[test]
     fn add_device_expands_a_running_pool() {
-        let (pool, _engine, entries) = pool_and_corpus(2);
-        assert_eq!(pool.shards(), 2);
-        assert_eq!(pool.stats().devices().len(), 1);
+        // A device joins through the fleet: the pool keeps its workers, and
+        // its engine places fresh selections across the grown fleet exactly
+        // like a sequential engine over the same fleet.
+        let (pool, engine, entries) = pool_and_corpus(2);
         let before: Vec<Ticket> = entries
             .iter()
             .take(4)
@@ -3606,35 +3428,44 @@ mod tests {
             .collect();
 
         let joined = pool
+            .fleet()
             .add_device(seer_gpu::GpuSpec::mi100())
             .expect("valid preset spec");
-        assert_eq!(pool.shards(), 4, "two more shards pinned to the joiner");
-        assert_eq!(
-            pool.stats().devices().len(),
-            2,
-            "the joiner's shard group is published on join"
-        );
+        assert_eq!(pool.fleet().len(), 2);
+        assert_eq!(pool.shards(), 2, "a join spawns no worker");
 
-        let after: Vec<Ticket> = entries
+        let reference = SeerEngine::with_fleet(pool.fleet().clone(), engine.models_handle());
+        let after: Vec<(Ticket, Arc<CsrMatrix>)> = entries
             .iter()
+            .skip(4)
             .take(4)
             .map(|e| {
-                pool.submit(ServingRequest::execute(
-                    Arc::new(e.matrix.clone()),
-                    Arc::new(vec![1.0; e.matrix.cols()]),
-                    19,
-                ))
+                let matrix = Arc::new(e.matrix.clone());
+                let x = Arc::new(vec![1.0; matrix.cols()]);
+                let ticket = pool.submit(ServingRequest::execute(Arc::clone(&matrix), x, 19));
+                (ticket, matrix)
             })
             .collect();
-        for ticket in before.into_iter().chain(after) {
+        for ticket in before {
             assert!(ticket.wait().is_ok());
+        }
+        for (ticket, matrix) in after {
+            let response = ticket.wait().expect("healthy worker");
+            assert_eq!(response.selection, reference.select(&matrix, 19));
         }
         let stats = pool.shutdown();
         assert_eq!(stats.completed(), 8);
         assert_eq!(stats.failed(), 0);
-        let lanes = stats.devices();
-        assert_eq!(lanes.len(), 2);
-        assert!(lanes.iter().any(|lane| lane.device == joined));
+        // The per-device breakdown spans the joiner, and its attributable
+        // counters still sum to the aggregate.
+        let per_device = stats
+            .device_engine(DeviceId::DEFAULT)
+            .saturating_add(stats.device_engine(joined));
+        assert_eq!(per_device.selections(), stats.engine().selections());
+        assert_eq!(
+            per_device.plan_preparations,
+            stats.engine().plan_preparations
+        );
     }
 
     /// A closed gate whose job pins the single worker, so tests can stage
@@ -4748,5 +4579,136 @@ mod tests {
         );
         assert!(times[1..].windows(2).all(|w| w[0] == w[1]));
         pool.shutdown();
+    }
+
+    #[test]
+    fn in_flight_cap_evicts_the_newest_lower_class_job_for_a_higher_class() {
+        // Under DropLowestPriority the in-flight cap sheds by class too: an
+        // arrival at the cap takes the slot of the newest queued job of a
+        // strictly lower class, and sheds only when nothing ranks below it.
+        let (pool, corpus) = admission_pool(
+            AdmissionConfig::bounded(0)
+                .with_max_in_flight(3)
+                .with_shed_policy(ShedPolicy::DropLowestPriority),
+        );
+        let matrix = Arc::clone(&corpus[0]);
+        let request =
+            |priority| ServingRequest::select(Arc::clone(&matrix), 19).with_priority(priority);
+        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
+        let pinned = pool.submit(pin_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        let older = pool
+            .try_submit(request(Priority::BestEffort))
+            .ticket()
+            .expect("below the cap");
+        let newer = pool
+            .try_submit(request(Priority::BestEffort))
+            .ticket()
+            .expect("below the cap");
+        // At the cap, a best-effort arrival finds nothing strictly below it.
+        assert_eq!(
+            pool.try_submit(request(Priority::BestEffort)).shed_reason(),
+            Some(ShedReason::InFlightCap)
+        );
+        // An interactive arrival evicts the newest best-effort job and takes
+        // its slot, so the in-flight gauge does not move.
+        let winner = pool.try_submit(request(Priority::Interactive));
+        assert!(winner.is_accepted());
+        let evicted = Err(ServingError::Shed {
+            reason: ShedReason::Evicted { shard: 0 },
+        });
+        assert_eq!(newer.wait(), evicted);
+        assert_eq!(pool.stats().admission.in_flight, 3);
+        // A blocking submit evicts the same way before it would wait.
+        let blocking = pool.submit_with_timeout(request(Priority::Batch), Duration::from_secs(30));
+        assert!(blocking.is_accepted());
+        assert_eq!(older.wait(), evicted);
+        open(&pin);
+        assert!(pinned.wait().is_ok());
+        assert!(winner.ticket().expect("accepted").wait().is_ok());
+        assert!(blocking.ticket().expect("accepted").wait().is_ok());
+        let stats = pool.shutdown();
+        assert_eq!(stats.admission.shed_in_flight, 1);
+        assert_eq!(stats.admission.backpressure_waits, 0);
+        assert_eq!(stats.admission.evicted, 2);
+        assert_eq!(stats.shards[0].shed, 2);
+        assert_eq!(stats.admission.in_flight, 0);
+        assert_eq!(stats.submitted(), 5);
+        assert_eq!(stats.completed(), 5);
+        assert_eq!(stats.served(), 3);
+        assert_eq!(stats.offered(), 6);
+        assert_balanced(&stats);
+    }
+
+    #[test]
+    fn retire_re_selects_a_gated_backlog_onto_survivors_exactly_once() {
+        // Gate every worker, queue a same-fingerprint backlog behind the
+        // gates, then retire the device its selection placed it on. The
+        // retire returns at once; once the gates open, every gated and
+        // queued request re-selects once onto a survivor when its plan
+        // activates, and the plan is computed once pool-wide.
+        const BACKLOG: usize = 12;
+        let entries = generate(&CollectionConfig::tiny());
+        let (trained, _outcome) =
+            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
+        let fleet = Fleet::of_specs(Fleet::reference_presets().into_iter().take(3))
+            .expect("presets validate");
+        let pool = ServingPool::with_fleet(
+            fleet.clone(),
+            trained.models_handle(),
+            PoolConfig::with_shards(1),
+        );
+        let matrix = Arc::new(entries[0].matrix.clone());
+        let victim = SeerEngine::with_fleet(fleet.clone(), trained.models_handle())
+            .select(&matrix, 19)
+            .device;
+
+        // Same fingerprint and iterations as the backlog, so one plan key.
+        let (gated, gates): (Vec<Ticket>, Vec<_>) = (0..pool.shards())
+            .map(|_| {
+                let (mut request, gate) = gate_request(Arc::clone(&matrix));
+                request.iterations = 19;
+                (pool.submit(request), gate)
+            })
+            .unzip();
+        wait_for_dequeues(&pool, Priority::Interactive, gated.len() as u64);
+        let busy: std::collections::HashSet<usize> = gated.iter().map(Ticket::shard).collect();
+        assert_eq!(busy.len(), pool.shards(), "each gate holds its own worker");
+        let backlog = pool
+            .submit_batch((0..BACKLOG).map(|_| ServingRequest::select(Arc::clone(&matrix), 19)));
+
+        pool.retire_device(victim).expect("victim was live");
+        assert!(
+            backlog.iter().all(|ticket| !ticket.is_done()),
+            "the retire waits for no backlog"
+        );
+        for gate in &gates {
+            open(gate);
+        }
+        pool.drain();
+
+        let responses: Vec<ServingResponse> = gated
+            .into_iter()
+            .chain(backlog)
+            .map(|ticket| ticket.wait().expect("every request is served"))
+            .collect();
+        for response in &responses {
+            assert_ne!(response.selection.device, victim);
+            assert!(fleet.is_live(response.selection.device));
+            assert_eq!(response.selection, responses[0].selection);
+        }
+        let total = (pool.shards() + BACKLOG) as u64;
+        let stats = pool.shutdown();
+        assert_eq!(stats.completed(), total);
+        assert_eq!(stats.failed(), 0);
+        assert_eq!(
+            stats.migrations(),
+            total,
+            "every gated and queued request was served off its routed device"
+        );
+        // Selected once at routing, never computed again: every re-selection
+        // after the retire replayed the cached plan onto a survivor.
+        assert_eq!(stats.engine().plan_misses, 1);
+        assert_balanced(&stats);
     }
 }

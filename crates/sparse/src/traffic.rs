@@ -126,14 +126,6 @@ pub struct TrafficConfig {
     /// the chaos scenarios) disables the draw entirely, so pre-chaos
     /// streams replay bit-identically.
     pub chaos_kill_fraction: f64,
-    /// Probability of a [`ChaosEvent::HealDevice`] annotation: the harness
-    /// should heal a previously failed device. Zero by default, like
-    /// [`TrafficConfig::chaos_kill_fraction`].
-    pub chaos_heal_fraction: f64,
-    /// Probability of a [`ChaosEvent::JoinDevice`] annotation: the harness
-    /// should join a fresh device to the serving fleet. Zero by default,
-    /// like [`TrafficConfig::chaos_kill_fraction`].
-    pub chaos_join_fraction: f64,
     /// Probability that a request is [`RequestClass::Batch`] — throughput
     /// traffic an admission-controlled pool may delay behind interactive
     /// work. Zero (the default for every pre-overload scenario) disables the
@@ -180,8 +172,6 @@ impl TrafficConfig {
             },
             value_update_fraction: 0.0,
             chaos_kill_fraction: 0.0,
-            chaos_heal_fraction: 0.0,
-            chaos_join_fraction: 0.0,
             batch_fraction: 0.0,
             best_effort_fraction: 0.0,
             deadline_fraction: 0.0,
@@ -204,8 +194,6 @@ impl TrafficConfig {
             iterations: IterationMix::Fixed(1),
             value_update_fraction: 0.0,
             chaos_kill_fraction: 0.0,
-            chaos_heal_fraction: 0.0,
-            chaos_join_fraction: 0.0,
             batch_fraction: 0.0,
             best_effort_fraction: 0.0,
             deadline_fraction: 0.0,
@@ -231,8 +219,8 @@ impl TrafficConfig {
     /// preprocessing and become bandwidth-bound (big devices win) — so a
     /// corpus mixing skew-heavy and uniform matrices under this mix
     /// exercises every device of a fleet rather than collapsing onto one.
-    /// The hot set spans a quarter of the corpus so each serving device's
-    /// shard group sees repeat traffic of its own slice.
+    /// The hot set spans a quarter of the corpus so each device's slice of
+    /// the corpus sees repeat traffic.
     pub fn fleet_mixed(corpus_size: usize, seed: u64) -> Self {
         Self {
             seed,
@@ -245,8 +233,6 @@ impl TrafficConfig {
             iterations: IterationMix::Uniform { lo: 1, hi: 200 },
             value_update_fraction: 0.0,
             chaos_kill_fraction: 0.0,
-            chaos_heal_fraction: 0.0,
-            chaos_join_fraction: 0.0,
             batch_fraction: 0.0,
             best_effort_fraction: 0.0,
             deadline_fraction: 0.0,
@@ -292,8 +278,6 @@ impl TrafficConfig {
             },
             value_update_fraction: 0.0,
             chaos_kill_fraction: 0.0,
-            chaos_heal_fraction: 0.0,
-            chaos_join_fraction: 0.0,
             batch_fraction: 0.0,
             best_effort_fraction: 0.0,
             deadline_fraction: 0.0,
@@ -314,27 +298,6 @@ impl TrafficConfig {
         }
     }
 
-    /// A chaos scenario: a device that flaps — kill and heal annotations
-    /// drawn independently at ~1% each, so the same device keeps dropping
-    /// out of and rejoining the live set while traffic flows.
-    pub fn flapping_device(corpus_size: usize, seed: u64) -> Self {
-        Self {
-            chaos_kill_fraction: 0.01,
-            chaos_heal_fraction: 0.01,
-            ..Self::fleet_mixed(corpus_size, seed)
-        }
-    }
-
-    /// A chaos scenario: fresh devices join the fleet under load (~1 join
-    /// per 250 requests), exercising router construction and shard-group
-    /// publication while the pool is busy.
-    pub fn join_under_load(corpus_size: usize, seed: u64) -> Self {
-        Self {
-            chaos_join_fraction: 0.004,
-            ..Self::fleet_mixed(corpus_size, seed)
-        }
-    }
-
     /// An overload scenario: the skewed hot-set stream with a three-way
     /// class mix (30% batch, 35% best-effort, the rest interactive) and a
     /// quarter of requests carrying sub-20 ms deadlines. Offered at a rate
@@ -350,35 +313,6 @@ impl TrafficConfig {
             deadline_fraction: 0.25,
             deadline_range_us: (500, 20_000),
             ..Self::skewed(corpus_size, seed)
-        }
-    }
-
-    /// An overload scenario with heavy burst structure: most requests open
-    /// long same-matrix bursts, so overload arrives in spikes that slam one
-    /// shard's queue while its neighbours idle — the regime that separates
-    /// per-shard bounded queues from a single global bound.
-    pub fn burst_overload(corpus_size: usize, seed: u64) -> Self {
-        Self {
-            burst_fraction: 0.6,
-            max_burst_len: 12,
-            batch_fraction: 0.25,
-            best_effort_fraction: 0.4,
-            deadline_fraction: 0.25,
-            deadline_range_us: (500, 20_000),
-            ..Self::skewed(corpus_size, seed)
-        }
-    }
-
-    /// A deadline/priority mix over the fleet-mixed stream: every class well
-    /// represented and half of all requests carrying tight deadlines, for
-    /// experiments about who expires and who gets shed when queues back up.
-    pub fn deadline_priority_mix(corpus_size: usize, seed: u64) -> Self {
-        Self {
-            batch_fraction: 0.25,
-            best_effort_fraction: 0.25,
-            deadline_fraction: 0.5,
-            deadline_range_us: (200, 10_000),
-            ..Self::fleet_mixed(corpus_size, seed)
         }
     }
 
@@ -439,12 +373,6 @@ pub enum ChaosEvent {
     None,
     /// Hard-fail one serving device ([`TrafficConfig::chaos_kill_fraction`]).
     KillDevice,
-    /// Heal a previously failed device
-    /// ([`TrafficConfig::chaos_heal_fraction`]).
-    HealDevice,
-    /// Join a fresh device to the fleet
-    /// ([`TrafficConfig::chaos_join_fraction`]).
-    JoinDevice,
 }
 
 /// One request of a traffic stream.
@@ -462,7 +390,8 @@ pub struct TrafficRequest {
     /// when [`TrafficConfig::value_update_fraction`] is zero.
     pub value_update: bool,
     /// Membership chaos to inject before this request. Always
-    /// [`ChaosEvent::None`] when every chaos fraction is zero.
+    /// [`ChaosEvent::None`] when [`TrafficConfig::chaos_kill_fraction`] is
+    /// zero.
     pub chaos: ChaosEvent,
     /// Service class of the request. Always [`RequestClass::Interactive`]
     /// when both class fractions are zero.
@@ -614,27 +543,14 @@ impl Iterator for TrafficGenerator {
         let value_update = self.config.value_update_fraction > 0.0
             && self.mutation_rng.next_f64() < self.config.value_update_fraction.clamp(0.0, 1.0)
             && self.pinned_iterations.is_none();
-        // Chaos draws are guarded the same way, in a fixed kill/heal/join
-        // order on their own stream; the first event to fire wins (at most
-        // one membership change per request keeps harnesses simple).
-        let mut chaos = ChaosEvent::None;
-        if self.config.chaos_kill_fraction > 0.0
+        // The chaos draw is guarded the same way, on its own stream.
+        let chaos = if self.config.chaos_kill_fraction > 0.0
             && self.chaos_rng.next_f64() < self.config.chaos_kill_fraction.clamp(0.0, 1.0)
         {
-            chaos = ChaosEvent::KillDevice;
-        }
-        if self.config.chaos_heal_fraction > 0.0
-            && self.chaos_rng.next_f64() < self.config.chaos_heal_fraction.clamp(0.0, 1.0)
-            && chaos == ChaosEvent::None
-        {
-            chaos = ChaosEvent::HealDevice;
-        }
-        if self.config.chaos_join_fraction > 0.0
-            && self.chaos_rng.next_f64() < self.config.chaos_join_fraction.clamp(0.0, 1.0)
-            && chaos == ChaosEvent::None
-        {
-            chaos = ChaosEvent::JoinDevice;
-        }
+            ChaosEvent::KillDevice
+        } else {
+            ChaosEvent::None
+        };
         // Class and deadline draws share the admission stream, each behind
         // its own zero-fraction guard: every pre-overload scenario leaves
         // the stream untouched, so its requests replay bit-identically with
@@ -876,34 +792,12 @@ mod tests {
                 .all(|r| matches!(r.chaos, ChaosEvent::None | ChaosEvent::KillDevice)),
             "death scenario draws kills only"
         );
-
-        let flap = TrafficConfig::flapping_device(32, 0xC405);
-        let requests = take(&flap, 4_000);
-        let kills = requests
-            .iter()
-            .filter(|r| r.chaos == ChaosEvent::KillDevice)
-            .count();
-        let heals = requests
-            .iter()
-            .filter(|r| r.chaos == ChaosEvent::HealDevice)
-            .count();
-        assert!(
-            kills > 5 && heals > 5,
-            "flapping needs both: {kills}/{heals}"
-        );
-
-        let join = TrafficConfig::join_under_load(32, 0xC405);
-        let requests = take(&join, 4_000);
-        assert!(
-            requests.iter().any(|r| r.chaos == ChaosEvent::JoinDevice),
-            "a join must occur under load"
-        );
     }
 
     #[test]
     fn chaos_does_not_perturb_matrix_choice_or_iterations() {
         let calm = TrafficConfig::fleet_mixed(48, 77);
-        let chaotic = TrafficConfig::flapping_device(48, 77);
+        let chaotic = TrafficConfig::device_death_mid_stream(48, 77);
         let a = take(&calm, 3_000);
         let b = take(&chaotic, 3_000);
         for (x, y) in a.iter().zip(&b) {
@@ -961,52 +855,47 @@ mod tests {
 
     #[test]
     fn overload_scenarios_fire_their_annotations_and_replay() {
-        for config in [
-            TrafficConfig::sustained_overload(32, 0x0AD5),
-            TrafficConfig::burst_overload(32, 0x0AD5),
-            TrafficConfig::deadline_priority_mix(32, 0x0AD5),
-        ] {
-            let requests = take(&config, 6_000);
-            assert_eq!(requests, take(&config, 6_000), "overload stream replays");
-            let batch = requests
-                .iter()
-                .filter(|r| r.class == RequestClass::Batch)
-                .count() as f64;
-            let best_effort = requests
-                .iter()
-                .filter(|r| r.class == RequestClass::BestEffort)
-                .count() as f64;
-            let interactive = requests
-                .iter()
-                .filter(|r| r.class == RequestClass::Interactive)
-                .count() as f64;
-            let n = requests.len() as f64;
-            assert!(
-                (batch / n - config.batch_fraction).abs() < 0.03,
-                "batch rate {} vs {}",
-                batch / n,
-                config.batch_fraction
-            );
-            assert!(
-                (best_effort / n - config.best_effort_fraction).abs() < 0.03,
-                "best-effort rate {} vs {}",
-                best_effort / n,
-                config.best_effort_fraction
-            );
-            assert!(interactive > 0.0, "some interactive traffic remains");
-            let with_deadline = requests.iter().filter(|r| r.deadline_us.is_some()).count();
-            let rate = with_deadline as f64 / n;
-            assert!(
-                (rate - config.deadline_fraction).abs() < 0.03,
-                "deadline rate {rate} vs {}",
-                config.deadline_fraction
-            );
-            let (lo, hi) = config.deadline_range_us;
-            assert!(requests
-                .iter()
-                .filter_map(|r| r.deadline_us)
-                .all(|d| (lo..=hi).contains(&d)));
-        }
+        let config = TrafficConfig::sustained_overload(32, 0x0AD5);
+        let requests = take(&config, 6_000);
+        assert_eq!(requests, take(&config, 6_000), "overload stream replays");
+        let batch = requests
+            .iter()
+            .filter(|r| r.class == RequestClass::Batch)
+            .count() as f64;
+        let best_effort = requests
+            .iter()
+            .filter(|r| r.class == RequestClass::BestEffort)
+            .count() as f64;
+        let interactive = requests
+            .iter()
+            .filter(|r| r.class == RequestClass::Interactive)
+            .count() as f64;
+        let n = requests.len() as f64;
+        assert!(
+            (batch / n - config.batch_fraction).abs() < 0.03,
+            "batch rate {} vs {}",
+            batch / n,
+            config.batch_fraction
+        );
+        assert!(
+            (best_effort / n - config.best_effort_fraction).abs() < 0.03,
+            "best-effort rate {} vs {}",
+            best_effort / n,
+            config.best_effort_fraction
+        );
+        assert!(interactive > 0.0, "some interactive traffic remains");
+        let with_deadline = requests.iter().filter(|r| r.deadline_us.is_some()).count();
+        let rate = with_deadline as f64 / n;
+        assert!(
+            (rate - config.deadline_fraction).abs() < 0.03,
+            "deadline rate {rate} vs {}",
+            config.deadline_fraction
+        );
+        let (lo, hi) = config.deadline_range_us;
+        assert!(requests
+            .iter()
+            .filter_map(|r| r.deadline_us)
+            .all(|d| (lo..=hi).contains(&d)));
     }
 
     #[test]
@@ -1018,7 +907,7 @@ mod tests {
             TrafficConfig::fleet_mixed(32, 9),
             TrafficConfig::near_duplicate_families(32, 9),
             TrafficConfig::mutating_hot_set(32, 9),
-            TrafficConfig::flapping_device(32, 9),
+            TrafficConfig::device_death_mid_stream(32, 9),
         ] {
             for request in take(&config, 2_000) {
                 assert_eq!(request.class, RequestClass::Interactive);
@@ -1201,6 +1090,47 @@ mod tests {
             b.iter().all(|r| !(r.value_update && r.burst_position > 0)),
             "no identical-burst member mutates mid-run"
         );
+    }
+
+    /// FNV-1a over every field of the first `n` requests of a stream.
+    fn digest(config: &TrafficConfig, n: usize) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for r in take(config, n) {
+            for word in [
+                r.matrix_index as u64,
+                r.iterations as u64,
+                r.burst_position as u64,
+                u64::from(r.value_update),
+                r.chaos as u64,
+                r.class as u64,
+                r.deadline_us.unwrap_or(u64::MAX),
+            ] {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn benchmark_streams_replay_their_pinned_digests() {
+        // The streams the end-to-end benchmark draws from, over its 44-matrix
+        // corpus and seeds: a change to a guard or a split moves a digest.
+        let burst_mutating = TrafficConfig {
+            value_update_fraction: 0.35,
+            ..TrafficConfig::identical_burst(44, 1)
+        };
+        for (config, expected) in [
+            (TrafficConfig::skewed(44, 1), 0x2501_c99f_e13a_c02d),
+            (TrafficConfig::skewed(44, 7), 0x5f05_c7b1_1fe6_2d18),
+            (TrafficConfig::identical_burst(44, 1), 0xee04_dea4_fcb1_57f6),
+            (TrafficConfig::identical_burst(44, 7), 0xdb5a_cdee_7165_32fd),
+            (burst_mutating, 0x22ff_2b85_0fe1_96b7),
+        ] {
+            assert_eq!(digest(&config, 1_000), expected, "stream moved: {config:?}");
+        }
     }
 
     #[test]

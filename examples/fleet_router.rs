@@ -47,9 +47,14 @@ fn main() -> Result<(), SeerError> {
         );
     }
 
-    // 4. The pool routes by (kernel, device) affinity: two shards per
-    //    device, each request served by a shard pinned to its placement.
-    let pool = ServingPool::with_fleet(fleet, trained.models_handle(), PoolConfig::with_shards(2));
+    // 4. The pool selects each request once, at routing: the selection's
+    //    device travels with the job, and whichever worker is least busy
+    //    serves it (two workers per device, none pinned to one).
+    let pool = ServingPool::with_fleet(
+        fleet.clone(),
+        trained.models_handle(),
+        PoolConfig::with_shards(2),
+    );
     let corpus = [Arc::new(small_skewed), Arc::new(big_uniform)];
     let tickets: Vec<_> = (0..20)
         .map(|i| pool.submit(ServingRequest::select(Arc::clone(&corpus[i % 2]), 19)))
@@ -58,14 +63,16 @@ fn main() -> Result<(), SeerError> {
         let _ = ticket.wait().expect("healthy worker");
     }
     let stats = pool.shutdown();
-    println!("\nper-device lanes (shards / served):");
-    for lane in stats.devices() {
+    println!(
+        "\n{} requests served by {} workers; placements per device (selections):",
+        stats.completed(),
+        stats.shards.len()
+    );
+    for device in fleet.ids() {
+        let placed = stats.device_engine(device).selections();
         println!(
-            "  {}: {} / {:>3}   {}",
-            lane.device,
-            lane.shards,
-            lane.completed,
-            if lane.completed > 0 { "active" } else { "idle" }
+            "  {device}: {placed:>3}   {}",
+            if placed > 0 { "active" } else { "idle" }
         );
     }
     Ok(())

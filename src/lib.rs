@@ -66,10 +66,10 @@ pub use seer_ml as ml;
 pub use seer_sparse as sparse;
 
 pub use seer_core::{
-    AdmissionConfig, AdmissionPoolStats, DevicePoolStats, EngineStats, ExplorationPolicy,
-    HistogramSnapshot, LatencySnapshot, PoolConfig, PoolStats, Priority, RecalibrationConfig,
-    RoutingConfig, RoutingPoolStats, SeerEngine, ServingError, ServingPool, ServingRequest,
-    ServingResponse, ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
+    AdmissionConfig, AdmissionPoolStats, EngineStats, ExplorationPolicy, HistogramSnapshot,
+    LatencySnapshot, PoolConfig, PoolStats, Priority, RecalibrationConfig, RoutingConfig,
+    RoutingPoolStats, SeerEngine, ServingError, ServingPool, ServingRequest, ServingResponse,
+    ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
 };
 pub use seer_gpu::{
     DeviceFailed, DeviceId, DeviceRegistry, DeviceStatus, Fleet, FleetHandle, MembershipError,

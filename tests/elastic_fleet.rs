@@ -1,14 +1,13 @@
-//! Integration tests of runtime fleet membership: retire-drain racing live
-//! submitters, exactly-once plan re-preparation after a drained backlog
-//! migrates, deterministic sequencing of a retire against a gated backlog,
-//! and the static-fleet guarantee that a pool which never changes membership
-//! is bit-identical to the classic engine with every elastic counter at zero.
+//! Integration tests of runtime fleet membership: a retire racing live
+//! submitters, shutdown racing live submitters, and the static-fleet
+//! guarantee that a pool which never changes membership is bit-identical to
+//! the classic engine with every elastic counter at zero. The deterministic
+//! retire-against-a-gated-backlog test lives with the gate workload in the
+//! serving module's unit tests.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use seer::core::inference::SelectionPolicy;
-use seer::core::serving::Workload;
 use seer::core::training::TrainingConfig;
 use seer::gpu::{Fleet, Gpu};
 use seer::sparse::collection::{generate, CollectionConfig};
@@ -86,135 +85,6 @@ fn static_fleet_stays_bit_identical_with_elastic_counters_zero() {
     );
 }
 
-/// The deterministic retire-vs-backlog sequencing test. A gate workload pins
-/// one worker (and thereby one device lane); a same-fingerprint backlog
-/// queues behind it; retire of that device is provably in flight (blocked on
-/// the gated worker) when the gate opens. Every queued request must then
-/// migrate to a survivor, the migrated plan must be re-prepared exactly once,
-/// and a concurrent drain must ride out the retire without deadlocking.
-#[test]
-fn retire_drains_a_gated_backlog_onto_survivors_exactly_once() {
-    const BACKLOG: usize = 12;
-    let (trained, corpus) = trained_corpus();
-    let fleet = three_device_fleet();
-    let pool = Arc::new(ServingPool::with_fleet(
-        fleet.clone(),
-        trained.models_handle(),
-        PoolConfig::with_shards(1),
-    ));
-    let matrix = Arc::clone(&corpus[0]);
-
-    // Block one worker on the gate; the lane it was routed to is the victim.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let gated_ticket = pool.submit(ServingRequest {
-        matrix: Arc::clone(&matrix),
-        iterations: 19,
-        policy: SelectionPolicy::Adaptive,
-        workload: Workload::Gate {
-            gate: Arc::clone(&gate),
-        },
-        priority: seer::Priority::default(),
-        deadline: None,
-    });
-    let victim: DeviceId = pool
-        .stats()
-        .devices()
-        .into_iter()
-        .find(|lane| lane.submitted == 1)
-        .expect("the gate was routed somewhere")
-        .device;
-
-    // Same fingerprint + iterations => same selection, so the backlog
-    // queues on the victim's lane — one shard, behind the gated worker.
-    let backlog_tickets =
-        pool.submit_batch((0..BACKLOG).map(|_| ServingRequest::select(Arc::clone(&matrix), 19)));
-    assert_eq!(
-        pool.stats()
-            .devices()
-            .into_iter()
-            .find(|lane| lane.device == victim)
-            .expect("victim lane exists")
-            .submitted,
-        1 + BACKLOG as u64
-    );
-
-    // Retire the victim on a thread: it must block joining the gated worker,
-    // which is the retire-drain-in-flight state. A concurrent drain (the
-    // shutdown path's first half) must coexist with it.
-    let retiring = {
-        let pool = Arc::clone(&pool);
-        std::thread::spawn(move || pool.retire_device(victim))
-    };
-    let draining = {
-        let pool = Arc::clone(&pool);
-        std::thread::spawn(move || pool.drain())
-    };
-    std::thread::sleep(Duration::from_millis(60));
-    assert!(
-        !retiring.is_finished(),
-        "retire must block on the gated worker's drain"
-    );
-
-    // Open the gate: the worker serves the gate request plus the queued
-    // backlog (now against a retired device), then exits; retire completes.
-    {
-        let (lock, opened) = &*gate;
-        *lock.lock().unwrap() = true;
-        opened.notify_all();
-    }
-    retiring
-        .join()
-        .expect("retire thread")
-        .expect("victim was live");
-    draining.join().expect("drain thread");
-
-    // Every ticket resolved, and every one was served by a live survivor.
-    let gated_response = gated_ticket.wait().expect("gated request migrates");
-    assert_ne!(gated_response.selection.device, victim);
-    for ticket in backlog_tickets {
-        let response = ticket.wait().expect("backlog request migrates");
-        assert_ne!(response.selection.device, victim);
-        assert!(fleet.is_live(response.selection.device));
-        assert_eq!(response.selection, gated_response.selection);
-    }
-
-    // New work for the same matrix routes to the survivors.
-    let after = pool
-        .submit(ServingRequest::select(Arc::clone(&matrix), 19))
-        .wait()
-        .expect("post-retire request");
-    assert_ne!(after.selection.device, victim);
-
-    let pool = Arc::into_inner(pool).expect("all threads joined");
-    let stats = pool.shutdown();
-    let victim_lane = stats
-        .devices()
-        .into_iter()
-        .find(|lane| lane.device == victim)
-        .expect("victim lane exists");
-    // The whole gated backlog migrated: served by the victim's worker after
-    // the device left the live set.
-    assert_eq!(victim_lane.migrated, 1 + BACKLOG as u64);
-    assert_eq!(victim_lane.completed, 1 + BACKLOG as u64);
-    assert_eq!(victim_lane.failed, 0);
-    // Exactly-once computation: the plan was computed once pool-wide, at
-    // routing, and never again. The victim's lane holds the routing
-    // selections made while it was live (the gate's miss, the backlog's
-    // hits); every re-selection after the retire replayed the cached plan
-    // onto a survivor.
-    assert_eq!(stats.engine().plan_misses, 1);
-    assert_eq!(victim_lane.engine.plan_misses, 1);
-    assert_eq!(victim_lane.engine.plan_hits, BACKLOG as u64);
-    assert_eq!(
-        stats.engine().plan_hits,
-        BACKLOG as u64 + (1 + BACKLOG as u64) + 1,
-        "backlog routing, one re-selection per migrated request, the post-retire request"
-    );
-    assert_eq!(stats.completed(), 2 + BACKLOG as u64);
-    assert_eq!(stats.queue_depth(), 0);
-    assert_eq!(stats.failed(), 0);
-}
-
 /// Retire racing a storm of live submitters: no ticket may be lost, none may
 /// resolve to a worker death, and the counters must balance exactly whatever
 /// interleaving the race takes.
@@ -253,7 +123,8 @@ fn submitters_race_a_retire_without_losing_tickets() {
         })
         .collect();
 
-    // Retire mid-storm: submitters keep racing the drain.
+    // Retire mid-storm: submitters keep racing it, and work queued for the
+    // victim re-selects at dequeue.
     std::thread::sleep(Duration::from_millis(5));
     pool.retire_device(victim).expect("victim was live");
 
@@ -263,7 +134,7 @@ fn submitters_race_a_retire_without_losing_tickets() {
         .collect();
     assert_eq!(responses.len(), stream.len());
     // Post-retire work never lands on the victim; anything the victim served
-    // before (or while draining) is legitimate.
+    // before the retire is legitimate.
     let post = pool
         .submit(ServingRequest::select(Arc::clone(&corpus[0]), 19))
         .wait()
@@ -280,14 +151,15 @@ fn submitters_race_a_retire_without_losing_tickets() {
     // Any request caught mid-execution on the retiring device was absorbed
     // by its one bounded retry.
     assert_eq!(stats.device_failures(), stats.retried());
-    // Per-device lanes still partition the pool exactly.
+    // The engine's per-device counters still sum to the aggregate: every
+    // selection, re-selections after the retire included, was placed on
+    // exactly one device.
     assert_eq!(
-        stats
-            .devices()
-            .iter()
-            .map(|lane| lane.completed)
+        fleet
+            .ids()
+            .map(|device| stats.device_engine(device).selections())
             .sum::<u64>(),
-        stats.completed()
+        stats.engine().selections()
     );
 }
 

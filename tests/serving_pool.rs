@@ -264,7 +264,10 @@ fn rate_helpers_never_divide_by_zero() {
     assert_eq!(empty.throughput_per_sec(), 0.0);
     assert_eq!(empty.failure_rate(), 0.0);
     assert_eq!(empty.queue_depth(), 0);
-    assert!(empty.devices().is_empty());
+    assert_eq!(
+        empty.device_engine(seer::DeviceId::DEFAULT),
+        seer::EngineStats::default()
+    );
     assert_eq!(empty.engine(), seer::EngineStats::default());
 
     // The admission-control rates and counters: an untouched front door
@@ -305,12 +308,6 @@ fn rate_helpers_never_divide_by_zero() {
     assert!(empty.retry_rate().is_finite());
     assert_eq!(empty.migration_rate(), 0.0);
     assert!(empty.migration_rate().is_finite());
-
-    // A device lane that never completed anything rates 0.0 too.
-    let lane = seer::DevicePoolStats::default();
-    assert_eq!(lane.failure_rate(), 0.0);
-    assert!(lane.failure_rate().is_finite());
-    assert_eq!(lane.queue_depth(), 0);
 
     // Engine-side rates on an untouched counter window behave the same.
     let stats = seer::EngineStats::default();
